@@ -13,8 +13,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .errors import ConfigError, SpectralImputerError
 from .estimators import (
@@ -59,7 +57,7 @@ from .io import (
     atomic_write_text,
 )
 from .kernels import KERNEL_NAMES
-from .online import RegretCurve, SimilarityTracker, prefix_best_losses
+from .online import SimilarityTracker, regret_curve
 from .spectral import embed
 
 
@@ -334,18 +332,12 @@ def _cmd_regret(args):
     if weights is not None:
         graph = graph.with_weights(weights)
     panel, clamped = load_panel(args.panel, layout)
-    revealed = revealed_similarity_rows(panel, graph)
     tracker = (
         read_checkpoint(args.checkpoint_in, graph, eta=args.eta)
         if args.checkpoint_in
         else SimilarityTracker.for_graph(graph, eta=args.eta)
     )
-    losses = np.empty(revealed.shape)
-    for t in range(panel.t_len):
-        losses[t] = tracker.update(revealed[t])
-    alg = np.cumsum(losses.sum(axis=1))
-    best = prefix_best_losses(revealed)
-    curve = RegretCurve(np.arange(1, panel.t_len + 1), alg, best, alg - best)
+    curve = regret_curve(revealed_similarity_rows(panel, graph), tracker=tracker)
     staged = [(_out_path(args, "regret_curve.csv"), regret_csv_text(curve))]
     if args.checkpoint_out:
         staged.append((args.checkpoint_out, checkpoint_csv_text(tracker)))

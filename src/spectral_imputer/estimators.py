@@ -18,17 +18,26 @@ Every filled cell carries a provenance tag saying which path produced it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import IntEnum
 
 import numpy as np
 
+from . import spectral
 from .errors import ConfigError, InputError
 from .graph import FarmGraph, FarmLayout, component_labels, components
 from .kernels import KERNEL_NAMES, WeightVector, kernel_weight_rows
 from .online import SimilarityTracker
-from .spectral import embed, widen_to_degenerate_group, _spectrum_for_adjacency
+from .spectral import (
+    _spectrum_for_adjacency,
+    batch_rows,
+    batched_coordinates,
+    embed,
+    target_distances,
+    widen_to_degenerate_group,
+)
 
 METHODS = ("naive", "location", "unweighted_graph", "weighted_graph")
 
@@ -39,16 +48,25 @@ def timestamp_keys(timestamps):
     """Sortable keys for timestamp strings; numeric first, then ISO-8601.
 
     Raises:
-        InputError: if some timestamp parses under neither convention.
+        InputError: if some timestamp parses under neither convention, a
+            numeric one is not finite, or timezone-aware and naive ISO-8601
+            values are mixed (they have no order).
     """
     try:
-        return [float(t) for t in timestamps]
+        keys = [float(t) for t in timestamps]
     except (TypeError, ValueError):
         pass
+    else:
+        if not all(math.isfinite(k) for k in keys):
+            raise InputError("numeric timestamps must be finite")
+        return keys
     try:
-        return [datetime.fromisoformat(str(t)) for t in timestamps]
+        keys = [datetime.fromisoformat(str(t)) for t in timestamps]
     except ValueError as exc:
         raise InputError(f"unparsable timestamp: {exc}") from None
+    if len({k.utcoffset() is None for k in keys}) > 1:
+        raise InputError("timestamps mix timezone-aware and naive ISO-8601 values")
+    return keys
 
 
 @dataclass
@@ -290,7 +308,9 @@ class _WeightedRowImputer:
 
     Holds everything that is constant across rows: topology, kernel,
     dimension, weight floor, and the static-graph distances used when a
-    sensor ends up outside any embeddable component.
+    sensor ends up outside any embeddable component.  `impute_rows` takes
+    many rows at once when every edge is live; `impute_row` handles one
+    row whatever its graph.
     """
 
     def __init__(self, graph: FarmGraph, kind: str, r: int, weight_floor: float):
@@ -300,6 +320,48 @@ class _WeightedRowImputer:
         self.r = r
         self.weight_floor = weight_floor
         self.static_dist = static_embedding_distances(graph, r)
+
+    def batchable(self, obs, edge_weights) -> np.ndarray:
+        """(B,) bool: rows that `impute_rows` takes, the rest `impute_row`.
+
+        A row qualifies when it has an observed sensor and every edge
+        weight clears the floor, on a farm of 3 to DENSE_SOLVER_MAX
+        sensors.  Smaller farms copy a lone neighbor, and larger ones embed
+        each row with the iterative solver.
+        """
+        if not 3 <= self.n <= spectral.DENSE_SOLVER_MAX:
+            return np.zeros(len(obs), dtype=bool)
+        return obs.any(axis=1) & (edge_weights > self.weight_floor).all(axis=1)
+
+    def impute_rows(self, values, obs, edge_weights):
+        """`impute_row` for a batch of rows that are all `batchable`.
+
+        With every weight above the floor each row's graph is the static
+        graph, which is connected: one component over all sensors, so one
+        batched eigendecomposition embeds the whole batch.
+
+        Args:
+            values: (B, N) readings; entries where `obs` is False are
+                ignored.
+            obs: (B, N) bool availability.
+            edge_weights: (B, E) similarity weights, all > weight_floor.
+
+        Returns:
+            (estimates, codes), both (B, N), laid out as `impute_row`
+            lays out one row.
+        """
+        coords = batched_coordinates(edge_weights, self.ei, self.ej, self.n, self.r)
+        rows, targets = np.nonzero(~obs)
+        dist = target_distances(coords[rows], targets)
+        weights, fallback = kernel_weight_rows(self.kind, dist, obs[rows])
+        estimates = np.full(obs.shape, np.nan)
+        codes = np.zeros(obs.shape, dtype=np.int8)
+        vals = np.where(obs, values, 0.0)
+        estimates[rows, targets] = (weights * vals[rows]).sum(axis=1)
+        codes[rows, targets] = np.where(
+            fallback, int(Provenance.UNIFORM_FALLBACK), int(Provenance.WEIGHTED_KNN)
+        )
+        return estimates, codes
 
     def impute_row(self, values_row, obs_row, edge_weights):
         """Estimates and provenance for one row's missing sensors.
@@ -396,11 +458,16 @@ def impute_weighted_graph(
 ) -> tuple[ImputationResult, SimilarityTracker]:
     """Impute with per-timestep similarity-weighted graphs.
 
-    Rows are processed chronologically.  At each row, edges between two
-    observed sensors carry the revealed similarity; every other edge
-    carries the tracker's current guess.  The tracker is updated only
-    after the row is imputed, and only from revealed similarities, so the
-    value being imputed never feeds its own weights.
+    At each row, edges between two observed sensors carry the revealed
+    similarity; every other edge carries the tracker's guess as it stood
+    before that row.  The tracker learns only from revealed similarities,
+    so the value being imputed never feeds its own weights, and the guess
+    sequence does not depend on the estimates.  Rows are therefore taken
+    in blocks: the tracker is replayed over a block first, then every
+    holed row of it whose edges all clear `weight_floor` is embedded in one
+    batched eigendecomposition.  Rows where an edge drops out, rows with
+    nothing observed, and farms under 3 or over `DENSE_SOLVER_MAX` sensors
+    go one row at a time through the per-component path.
 
     Args:
         tracker: state to continue from; a fresh one (rate `eta`) is made
@@ -418,19 +485,26 @@ def impute_weighted_graph(
     revealed = revealed_similarity_rows(panel, graph)
     filled = panel.values.copy()
     provenance = np.zeros(panel.values.shape, dtype=np.int8)
-    for t in range(panel.t_len):
-        row_mask = panel.mask[t]
-        if not row_mask.all():
-            weights_row = np.where(
-                np.isnan(revealed[t]), tracker.s_hat, revealed[t]
+    step = batch_rows(panel.n_sensors)
+    for start in range(0, panel.t_len, step):
+        block = revealed[start : start + step]
+        guesses, _ = tracker.replay(block)
+        weights = np.where(np.isnan(block), guesses, block)
+        mask = panel.mask[start : start + step]
+        values = panel.values[start : start + step]
+        holed = ~mask.all(axis=1)
+        fast = holed & worker.batchable(mask, weights)
+        if fast.any():
+            estimates, codes = worker.impute_rows(
+                values[fast], mask[fast], weights[fast]
             )
-            estimates, codes = worker.impute_row(
-                panel.values[t], row_mask, weights_row
-            )
-            miss = ~row_mask
-            filled[t, miss] = estimates[miss]
-            provenance[t, miss] = codes[miss]
-        tracker.update(revealed[t])
+            t = start + np.flatnonzero(fast)
+            filled[t] = np.where(mask[fast], values[fast], estimates)
+            provenance[t] = codes
+        for b in np.flatnonzero(holed & ~fast):
+            estimates, codes = worker.impute_row(values[b], mask[b], weights[b])
+            filled[start + b] = np.where(mask[b], values[b], estimates)
+            provenance[start + b] = codes
     return (
         ImputationResult(panel.sensor_ids, panel.timestamps, filled, provenance),
         tracker,

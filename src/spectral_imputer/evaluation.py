@@ -31,12 +31,9 @@ from .estimators import (
 from .graph import FarmGraph, FarmLayout, build_graph, propose_grid_edges
 from .kernels import kernel_weight_rows
 from .online import track_sequence
-from .spectral import DEGENERACY_TOL
+from .spectral import batch_rows
 
 SETUPS = ("complete", "incomplete")
-
-# Rows scored per batched eigendecomposition in the weighted fast path.
-EVAL_CHUNK = 512
 
 
 def thread_cap() -> int:
@@ -149,49 +146,15 @@ def _fixed_distance_estimates(panel, dist, kind, col, rows):
     return estimates, tally
 
 
-def _batched_embedding_distances(wch, ei, ej, n, col, r):
-    """Distances from `col` to every node, one embedding per row of `wch`.
-
-    Every weight in `wch` must be positive: each row is then one connected
-    weighted graph over all n nodes, so the whole chunk reduces to a single
-    batched symmetric eigendecomposition.  Per-row effective dimensions are
-    widened to their degenerate group exactly as the scalar route does.
-    """
-    b = wch.shape[0]
-    a = np.zeros((b, n, n))
-    a[:, ei, ej] = wch
-    a[:, ej, ei] = wch
-    deg = a.sum(axis=2)
-    s = 1.0 / np.sqrt(deg)
-    m = -(a * (s[:, :, None] * s[:, None, :]))
-    idx = np.arange(n)
-    m[:, idx, idx] = 1.0
-    m = (m + m.transpose(0, 2, 1)) / 2.0
-    eigenvalues, u = np.linalg.eigh(m)
-    vectors = u * s[:, :, None]
-    base = min(r, n - 1)
-    if base < n - 1:
-        chained = np.diff(eigenvalues[:, base:], axis=1) <= DEGENERACY_TOL
-        ext = np.where(chained.all(axis=1), chained.shape[1], np.argmin(chained, axis=1))
-        r_eff = base + ext
-    else:
-        r_eff = np.full(b, base)
-    sq = (vectors[:, :, 1:] - vectors[:, col : col + 1, 1:]) ** 2
-    cum = np.cumsum(sq, axis=2)
-    ind = np.broadcast_to((r_eff - 1)[:, None, None], (b, n, 1))
-    d2 = np.take_along_axis(cum, ind, axis=2)[:, :, 0]
-    return np.sqrt(np.maximum(d2, 0.0))
-
-
 def _weighted_estimates(panel, graph, config, col, rows, guesses, worker):
     """Scores for the time-varying graph method at one hidden sensor.
 
-    Rows whose similarity weights all clear the floor share batched
-    eigendecompositions; rows where an edge drops out (splitting the
-    graph) go one at a time through the same component logic the
-    streaming imputer uses.
+    Rows are routed exactly as the streaming imputer routes them: rows
+    whose similarity weights all clear the floor share batched
+    eigendecompositions, and the rest, such as rows where an edge drops
+    out and splits the graph, go one at a time through the per-component
+    path.
     """
-    n = panel.n_sensors
     ei, ej = graph.edge_index_arrays()
     hidden = (ei == col) | (ej == col)
     sims = instantaneous_similarity(panel.values[rows][:, ei], panel.values[rows][:, ej])
@@ -199,31 +162,24 @@ def _weighted_estimates(panel, graph, config, col, rows, guesses, worker):
     w = np.where(both, sims, guesses[rows])
     obs = panel.mask[rows].copy()
     obs[:, col] = False
-    vals = np.where(panel.mask, panel.values, 0.0)[rows]
+    vals = np.where(obs, panel.values[rows], np.nan)
 
     estimates = np.empty(rows.size)
-    tally: dict[str, int] = {}
-    fast = (w > config.weight_floor).all(axis=1)
+    codes = np.empty(rows.size, dtype=np.int8)
+    fast = worker.batchable(obs, w)
     fast_idx = np.flatnonzero(fast)
-    for start in range(0, fast_idx.size, EVAL_CHUNK):
-        sel = fast_idx[start : start + EVAL_CHUNK]
-        dist = _batched_embedding_distances(w[sel], ei, ej, n, col, config.r)
-        weights, fallback = kernel_weight_rows(config.kernel, dist, obs[sel])
-        estimates[sel] = (weights * vals[sel]).sum(axis=1)
-        n_fb = int(fallback.sum())
-        if n_fb:
-            tally[Provenance.UNIFORM_FALLBACK.label] = (
-                tally.get(Provenance.UNIFORM_FALLBACK.label, 0) + n_fb
-            )
-        tally[Provenance.WEIGHTED_KNN.label] = (
-            tally.get(Provenance.WEIGHTED_KNN.label, 0) + sel.size - n_fb
-        )
+    step = batch_rows(panel.n_sensors)
+    for start in range(0, fast_idx.size, step):
+        sel = fast_idx[start : start + step]
+        est, code = worker.impute_rows(vals[sel], obs[sel], w[sel])
+        estimates[sel] = est[:, col]
+        codes[sel] = code[:, col]
     for b in np.flatnonzero(~fast):
-        row_vals = np.where(obs[b], vals[b], np.nan)
-        est, codes = worker.impute_row(row_vals, obs[b], w[b])
+        est, code = worker.impute_row(vals[b], obs[b], w[b])
         estimates[b] = est[col]
-        label = Provenance(int(codes[col])).label
-        tally[label] = tally.get(label, 0) + 1
+        codes[b] = code[col]
+    counts = np.bincount(codes, minlength=len(Provenance))
+    tally = {p.label: int(counts[p]) for p in Provenance if counts[p]}
     return estimates, tally
 
 
@@ -383,8 +339,9 @@ def leave_one_out_eval(
         if rows.size == 0:
             continue
         truth = panel.values[rows, col]
+        baseline, tally = _fixed_distance_estimates(panel, None, "naive", col, rows)
         if config.method == "naive":
-            estimates, tally = _fixed_distance_estimates(panel, None, "naive", col, rows)
+            estimates = baseline
         elif config.method == "weighted_graph":
             estimates, tally = _weighted_estimates(
                 panel, graph, config, col, rows, guesses, worker
@@ -393,7 +350,6 @@ def leave_one_out_eval(
             estimates, tally = _fixed_distance_estimates(
                 panel, dist, config.kernel, col, rows
             )
-        baseline, _ = _fixed_distance_estimates(panel, None, "naive", col, rows)
         per_rmse[col] = rmse(truth, estimates)
         per_naive[col] = rmse(truth, baseline)
         for label, count in tally.items():

@@ -40,14 +40,25 @@ CHECKPOINT_COLUMNS = (
 )
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_text(path, text: str) -> None:
-    """Write `text` to `path` through a same-directory temp file."""
+    """Write `text` to `path` through a same-directory temp file.
+
+    The file lands with the mode a plain `open` would give it (0666 less
+    the umask), not the owner-only mode of the temp file.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         try:

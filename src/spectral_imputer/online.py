@@ -22,10 +22,12 @@ import numpy as np
 from .errors import InputError, UndefinedBaselineError
 
 
-def _as_similarity_row(values, n):
+def _as_similarities(values, n, ndim):
     r = np.asarray(values, dtype=float)
-    if r.shape != (n,):
-        raise InputError(f"expected {n} similarity entries, got shape {r.shape}")
+    if r.ndim != ndim or r.shape[-1] != n:
+        raise InputError(
+            f"expected {n} similarity entries per round, got shape {r.shape}"
+        )
     missing = np.isnan(r)
     present = r[~missing]
     if np.any(~np.isfinite(present)) or np.any(present < 0) or np.any(present > 1):
@@ -91,7 +93,30 @@ class SimilarityTracker:
         Returns:
             Per-edge squared-error losses paid this round.
         """
-        r, rev = _as_similarity_row(revealed, self.edge_count)
+        r, rev = _as_similarities(revealed, self.edge_count, 1)
+        return self._step(r, rev)
+
+    def replay(self, similarities):
+        """Run `update` over a (T, E) block of rounds, validated once.
+
+        Row t of the block is round t; NaN marks an edge with nothing
+        revealed.  The state moves exactly as T `update` calls would move
+        it, bit for bit.
+
+        Returns:
+            (guesses, losses), both (T, E): `guesses[t]` is what the
+            tracker played at round t, before seeing row t, and
+            `losses[t]` what it paid there.
+        """
+        sims, rev = _as_similarities(similarities, self.edge_count, 2)
+        guesses = np.empty(sims.shape)
+        losses = np.empty(sims.shape)
+        for t in range(sims.shape[0]):
+            guesses[t] = self.s_hat
+            losses[t] = self._step(sims[t], rev[t])
+        return guesses, losses
+
+    def _step(self, r, rev):
         err = np.where(rev, r - self.s_hat, 0.0)
         losses = err**2
         self.cumulative_loss += losses
@@ -130,17 +155,14 @@ def track_sequence(similarities, eta):
     (guesses, losses), both (T, E): `guesses[t]` is what the tracker
     played at round t, before seeing row t.
     """
+    sims = _as_block(similarities)
+    lanes = [("lane", str(k)) for k in range(sims.shape[1])]
+    return SimilarityTracker(lanes, eta=eta).replay(sims)
+
+
+def _as_block(similarities) -> np.ndarray:
     sims = np.asarray(similarities, dtype=float)
-    if sims.ndim == 1:
-        sims = sims[:, None]
-    t_len, n = sims.shape
-    tracker = SimilarityTracker([("lane", str(k)) for k in range(n)], eta=eta)
-    guesses = np.empty((t_len, n))
-    losses = np.empty((t_len, n))
-    for t in range(t_len):
-        guesses[t] = tracker.s_hat
-        losses[t] = tracker.update(sims[t])
-    return guesses, losses
+    return sims[:, None] if sims.ndim == 1 else sims
 
 
 def best_constant(history) -> float:
@@ -196,9 +218,7 @@ def prefix_best_losses(similarities) -> np.ndarray:
     values minimizes squared loss, giving a closed form from running
     sums.
     """
-    sims = np.asarray(similarities, dtype=float)
-    if sims.ndim == 1:
-        sims = sims[:, None]
+    sims = _as_block(similarities)
     rev = ~np.isnan(sims)
     vals = np.where(rev, sims, 0.0)
     cum_n = np.cumsum(rev, axis=0)
@@ -208,17 +228,25 @@ def prefix_best_losses(similarities) -> np.ndarray:
     return per_edge.sum(axis=1)
 
 
-def regret_curve(similarities, eta) -> RegretCurve:
+def regret_curve(
+    similarities, eta=0.5, tracker: SimilarityTracker | None = None
+) -> RegretCurve:
     """Per-round cumulative regret summed over edges.
 
     The baseline at round t is, per edge, the best fixed guess for the
     first t rounds, so the curve compares against hindsight that grows
     with the data seen so far.
+
+    Args:
+        tracker: state to continue from, e.g. restored from a
+            checkpoint; updated in place.  A fresh tracker with rate
+            `eta` is used when omitted.
     """
-    sims = np.asarray(similarities, dtype=float)
-    if sims.ndim == 1:
-        sims = sims[:, None]
-    _, losses = track_sequence(sims, eta)
+    sims = _as_block(similarities)
+    if tracker is None:
+        _, losses = track_sequence(sims, eta)
+    else:
+        _, losses = tracker.replay(sims)
     alg = np.cumsum(losses.sum(axis=1))
     best = prefix_best_losses(sims)
     t = np.arange(1, sims.shape[0] + 1)

@@ -27,6 +27,10 @@ from .graph import ComponentPartition, FarmGraph, adjacency
 DENSE_SOLVER_MAX = 200
 # Eigenvalues within this of each other are treated as one degenerate group.
 DEGENERACY_TOL = 1e-9
+# Batched eigendecompositions take as many rows as keep one (B, n, n)
+# float64 stack near this size; a few such stacks are live at once, so
+# this bounds their memory whatever the farm size.
+BATCH_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,63 @@ class Embedding:
         return float(
             np.linalg.norm(self.coordinates[a] - self.coordinates[b])
         )
+
+
+def batch_rows(n: int) -> int:
+    """Rows per batched eigendecomposition of n-node graphs."""
+    return max(1, BATCH_BYTES // (8 * n * n))
+
+
+def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
+    """Embedding coordinates of many weightings of one connected edge set.
+
+    Every weight must be strictly positive, so each row of `weights` is one
+    connected graph over all n nodes and the whole batch reduces to a single
+    batched symmetric eigendecomposition.  Each row's dimension is widened
+    to its degenerate group exactly as `embed` widens it.
+
+    Args:
+        weights: (B, E) edge weights, all > 0.
+        ei, ej: (E,) endpoint indices of the edges, which connect all n
+            nodes.
+        n: node count, >= 2.
+        r: requested embedding dimension, >= 1.
+
+    Returns:
+        (B, n, k) coordinates, k the largest effective dimension in the
+        batch; a row's columns beyond its own effective dimension are zero,
+        so distances over all k columns are distances in its own embedding.
+    """
+    a = np.zeros((weights.shape[0], n, n))
+    a[:, ei, ej] = weights
+    a[:, ej, ei] = weights
+    s = 1.0 / np.sqrt(a.sum(axis=2))
+    # I - S A S, exactly symmetric because s_i * s_j == s_j * s_i.
+    a *= s[:, :, None] * s[:, None, :]
+    np.negative(a, out=a)
+    idx = np.arange(n)
+    a[:, idx, idx] = 1.0
+    eigenvalues, u = np.linalg.eigh(a)
+    base = min(r, n - 1)
+    chained = np.diff(eigenvalues[:, base:], axis=1) <= DEGENERACY_TOL
+    r_eff = base + np.cumprod(chained, axis=1).sum(axis=1)
+    k = int(r_eff.max())
+    live = np.arange(k)[None, None, :] < r_eff[:, None, None]
+    return np.where(live, u[:, :, 1 : k + 1] * s[:, :, None], 0.0)
+
+
+def target_distances(coords: np.ndarray, targets) -> np.ndarray:
+    """(C, n) distances from node targets[c] to every node of coords[c].
+
+    Squares are summed one dimension at a time, so zero columns appended
+    by `batched_coordinates` change no bit of the result, whichever rows
+    shared a batch.
+    """
+    diff = coords - coords[np.arange(coords.shape[0]), targets][:, None, :]
+    d2 = np.zeros(coords.shape[:2])
+    for j in range(coords.shape[2]):
+        d2 += diff[:, :, j] ** 2
+    return np.sqrt(d2)
 
 
 def _component_submatrix(graph, members, weight_floor):

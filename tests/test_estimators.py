@@ -1,18 +1,22 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from spectral_imputer import spectral
 from spectral_imputer.errors import ConfigError, InputError
 from spectral_imputer.estimators import (
     EstimatorConfig,
     Panel,
     Provenance,
+    _WeightedRowImputer,
     impute_location,
     impute_naive,
     impute_sampling,
     impute_unweighted_graph,
     impute_weighted_graph,
+    revealed_similarity_rows,
     run_estimator,
     static_embedding_distances,
 )
@@ -330,6 +334,122 @@ class TestWeightedGraph:
         stranger = SimilarityTracker([("x", "y")])
         with pytest.raises(InputError):
             impute_weighted_graph(p, graph, tracker=stranger)
+
+
+def row_by_row_weighted(panel, graph, kind, r, tracker):
+    """Streaming reference: one `impute_row` and one tracker update per row."""
+    worker = _WeightedRowImputer(graph, kind, r, 1e-12)
+    revealed = revealed_similarity_rows(panel, graph)
+    filled = panel.values.copy()
+    provenance = np.zeros(panel.values.shape, dtype=np.int8)
+    for t in range(panel.t_len):
+        miss = ~panel.mask[t]
+        if miss.any():
+            weights = np.where(np.isnan(revealed[t]), tracker.s_hat, revealed[t])
+            estimates, codes = worker.impute_row(panel.values[t], panel.mask[t], weights)
+            filled[t, miss] = estimates[miss]
+            provenance[t, miss] = codes[miss]
+        tracker.update(revealed[t])
+    return filled, provenance
+
+
+TRACKER_STATE = ("y", "s_hat", "cumulative_loss", "revealed_count", "running_sum_revealed")
+
+
+class TestWeightedEngineAgreement:
+    """The replay-then-batch imputer against the row-by-row reference."""
+
+    def check(self, panel, graph, kind="triweight", r=2, tracker=None):
+        if tracker is None:
+            tracker = SimilarityTracker.for_graph(graph, eta=0.5)
+        ref_tracker = copy.deepcopy(tracker)
+        res, tracker = impute_weighted_graph(panel, graph, kind=kind, r=r, tracker=tracker)
+        filled, provenance = row_by_row_weighted(panel, graph, kind, r, ref_tracker)
+        assert np.array_equal(res.provenance, provenance)
+        assert np.array_equal(np.isnan(res.filled), np.isnan(filled))
+        both = ~np.isnan(filled)
+        assert np.abs(res.filled[both] - filled[both]).max() <= 1e-10
+        for name in TRACKER_STATE:
+            assert np.array_equal(getattr(tracker, name), getattr(ref_tracker, name))
+        return res
+
+    def test_several_holes_per_row(self):
+        rng = np.random.default_rng(61)
+        layout = make_layout(rng.random((7, 2)) * 3)
+        graph = random_connected_graph(rng, layout, extra_edges=5)
+        panel = random_masked_panel(rng, 7, 40, p_missing=0.35)
+        assert (np.sum(~panel.mask, axis=1) >= 2).sum() > 10
+        for kind, r in (("triweight", 2), ("gaussian", 1), ("tricube", 3)):
+            self.check(panel, graph, kind, r)
+
+    def test_zero_similarity_row_splits_the_graph(self):
+        layout = make_layout([(0, k) for k in range(5)])
+        graph = chain_graph(layout)
+        # Row 1 reveals similarity 0 on edge s02-s03; row 2 hides s02, so
+        # the edge rides on a guess of 0, drops out, and leaves s03-s04
+        # as a pair.
+        panel = make_panel(
+            [
+                [0.3, 0.4, 0.5, 0.6, 0.7],
+                [0.5, 0.5, 0.0, 1.0, 0.9],
+                [0.4, 0.5, np.nan, 0.8, np.nan],
+                [0.2, np.nan, 0.3, 0.4, 0.5],
+            ],
+            layout.ids,
+        )
+        res = self.check(panel, graph)
+        assert res.provenance[2, 4] == int(Provenance.SMALL_COMPONENT_COPY)
+
+    def test_fully_missing_row(self):
+        rng = np.random.default_rng(62)
+        layout = make_layout(rng.random((5, 2)))
+        graph = random_connected_graph(rng, layout, extra_edges=2)
+        panel = random_masked_panel(rng, 5, 12)
+        values = panel.values.copy()
+        values[4] = np.nan
+        res = self.check(make_panel(values, layout.ids), graph)
+        assert (res.provenance[4] == int(Provenance.UNIMPUTABLE)).all()
+
+    def test_resumed_tracker_ends_bit_identical(self):
+        rng = np.random.default_rng(63)
+        layout = make_layout(rng.random((6, 2)) * 2)
+        graph = random_connected_graph(rng, layout, extra_edges=4)
+        panel = random_masked_panel(rng, 6, 30, p_missing=0.25)
+        tracker = SimilarityTracker.for_graph(graph, eta=0.3)
+        tracker.replay(revealed_similarity_rows(random_masked_panel(rng, 6, 15), graph))
+        self.check(panel, graph, tracker=tracker)
+
+    def test_two_sensor_farm(self):
+        layout = make_layout([(0, 0), (0, 1)])
+        graph = chain_graph(layout)
+        panel = make_panel(
+            [[0.2, 0.4], [np.nan, 0.5], [0.6, np.nan], [np.nan, np.nan]], layout.ids
+        )
+        res = self.check(panel, graph)
+        assert res.provenance[1, 0] == int(Provenance.SMALL_COMPONENT_COPY)
+
+    def test_farm_above_dense_solver_max(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", 5)
+        rng = np.random.default_rng(64)
+        layout = make_layout(rng.random((8, 2)) * 3)
+        graph = random_connected_graph(rng, layout, extra_edges=6)
+        self.check(random_masked_panel(rng, 8, 15), graph)
+
+    def test_more_holed_rows_than_one_batch(self, monkeypatch):
+        n = 6
+        monkeypatch.setattr(spectral, "BATCH_BYTES", 7 * 8 * n * n)
+        assert spectral.batch_rows(n) == 7
+        rng = np.random.default_rng(65)
+        layout = make_layout(rng.random((n, 2)) * 2)
+        graph = random_connected_graph(rng, layout, extra_edges=3)
+        values = random_masked_panel(rng, n, 50, p_missing=0.3).values
+        # Similarity 0 revealed on one edge, then one endpoint hidden: row
+        # 21 drops that edge and takes the per-component path mid-batch.
+        a, b = graph.edges[0]
+        values[20, [a, b]] = (0.0, 1.0)
+        values[21, a] = np.nan
+        res = self.check(make_panel(values, layout.ids), graph)
+        assert (res.provenance == int(Provenance.WEIGHTED_KNN)).sum() > 7
 
 
 class TestSampling:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from spectral_imputer import spectral
 from spectral_imputer.errors import ConfigError, InputError, UndefinedScoreError
 from spectral_imputer.estimators import (
     EstimatorConfig,
     Panel,
+    Provenance,
     impute_location,
     impute_naive,
     impute_unweighted_graph,
@@ -228,6 +230,32 @@ def test_eval_matches_per_cell_estimator_runs():
                     truth = panel.values[rows, col]
                     direct = np.sqrt(np.mean((truth - np.asarray(estimates)) ** 2))
                     assert rep.rmse[col] == pytest.approx(direct, abs=1e-10)
+
+
+@pytest.mark.parametrize("shape, dense_max", [((1, 2), 200), ((2, 3), 4)])
+def test_eval_routes_weighted_rows_as_impute_does(monkeypatch, shape, dense_max):
+    """A 2-sensor farm and a farm above DENSE_SOLVER_MAX both take the
+    per-row path in impute; evaluate must route them the same way, so
+    scores agree at 1e-10 and fallback counts tag for tag."""
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", dense_max)
+    layout, graph = _grid_setup(*shape)
+    panel = _holed_panel(layout, 12, 0.1, seed=50)
+    cfg = EstimatorConfig(method="weighted_graph")
+    rep = leave_one_out_eval(panel, cfg, "complete", graph=graph)
+    tags = np.zeros(len(Provenance), dtype=int)
+    for col in range(panel.n_sensors):
+        rows = scorable_rows(panel.mask, col, "complete")
+        estimates = []
+        for t in rows:
+            values = panel.values.copy()
+            values[t, col] = np.nan
+            hidden = Panel.from_values(panel.timestamps, panel.sensor_ids, values)
+            out, _ = impute_weighted_graph(hidden, graph)
+            estimates.append(out.filled[t, col])
+            tags[out.provenance[t, col]] += 1
+        direct = rmse(panel.values[rows, col], np.array(estimates))
+        assert rep.rmse[col] == pytest.approx(direct, abs=1e-10)
+    assert rep.fallback_counts == {p.label: int(tags[p]) for p in Provenance if tags[p]}
 
 
 def test_eval_weighted_slow_path_rows_are_scored():

@@ -676,6 +676,51 @@ def test_cli_missing_input_single_line_error(tmp_path, capsys):
     assert "\n" not in err
 
 
+def test_cli_outputs_follow_the_umask(tmp_path):
+    layout_csv = _layout_file(tmp_path)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        out = tmp_path / f"imp{umask:o}"
+        old = os.umask(umask)
+        try:
+            rc = main(
+                ["impute", "--layout", layout_csv, "--panel", masked_csv,
+                 "--method", "naive", "--out", str(out)]
+            )
+        finally:
+            os.umask(old)
+        assert rc == 0
+        for name in ("filled.csv", "provenance.csv", "manifest.json"):
+            assert os.stat(out / name).st_mode & 0o777 == mode, name
+
+
+@pytest.mark.parametrize(
+    "timestamps, message",
+    [
+        (("2024-01-01T00:00:00+00:00", "2024-01-01T01:00:00"), "timezone"),
+        (("0.0", "inf"), "finite"),
+    ],
+)
+def test_cli_bad_timestamps_single_line_error(tmp_path, capsys, timestamps, message):
+    layout_csv = _write(
+        tmp_path / "layout.csv",
+        "sensor_id,latitude,longitude,nominal_capacity\n"
+        "a,0.0,0.0,2.0\nb,1.0,0.0,2.0\n",
+    )
+    rows = [f"{ts},1.0,{'' if k else '1.5'}" for k, ts in enumerate(timestamps)]
+    panel_csv = _write(tmp_path / "panel.csv", "timestamp,a,b\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "imp"
+    rc = main(
+        ["impute", "--layout", layout_csv, "--panel", panel_csv,
+         "--method", "naive", "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and message in err
+    assert "\n" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_cli_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

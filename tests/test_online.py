@@ -103,6 +103,32 @@ class TestTrackerUpdates:
             assert np.array_equal(g1[:, 0], guesses[:, lane], equal_nan=True)
             assert np.array_equal(l1[:, 0], losses[:, lane], equal_nan=True)
 
+    def test_replay_matches_update_loop_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        sims = rng.random((60, 5))
+        sims[rng.random((60, 5)) < 0.4] = np.nan
+        eta = rng.uniform(0.05, 0.9, 5)
+        stepped = SimilarityTracker([("a", str(k)) for k in range(5)], eta=eta)
+        replayed = SimilarityTracker([("a", str(k)) for k in range(5)], eta=eta)
+        guesses, losses = [], []
+        for row in sims:
+            guesses.append(stepped.guesses)
+            losses.append(stepped.update(row))
+        got_guesses, got_losses = replayed.replay(sims)
+        assert np.array_equal(got_guesses, guesses)
+        assert np.array_equal(got_losses, losses)
+        for name in ("y", "s_hat", "cumulative_loss", "revealed_count",
+                     "running_sum_revealed"):
+            assert np.array_equal(getattr(replayed, name), getattr(stepped, name))
+
+    def test_replay_rejects_bad_blocks_without_moving(self):
+        tracker = SimilarityTracker([("a", "b"), ("b", "c")], eta=0.5)
+        for bad in ([0.5, 0.5], [[0.5, 0.5, 0.5]], [[0.5, 0.5], [0.5, 1.5]]):
+            with pytest.raises(InputError):
+                tracker.replay(bad)
+        assert tracker.revealed_count.tolist() == [0, 0]
+        assert tracker.replay(np.empty((0, 2)))[0].shape == (0, 2)
+
     def test_edge_state_snapshot(self):
         tracker = SimilarityTracker([("a", "b"), ("b", "c")], eta=0.5)
         tracker.update([0.2, np.nan])
@@ -174,6 +200,17 @@ class TestRegretCurve:
         assert curve.regret[-1] == pytest.approx(
             regret(losses[:, 0], sims), abs=1e-10
         )
+
+    def test_resumed_tracker_continues_the_run(self):
+        rng = np.random.default_rng(14)
+        sims = rng.random((80, 3))
+        sims[rng.random((80, 3)) < 0.3] = np.nan
+        _, losses = track_sequence(sims, eta=0.4)
+        tracker = SimilarityTracker([("x", str(k)) for k in range(3)], eta=0.4)
+        tracker.replay(sims[:50])
+        curve = regret_curve(sims[50:], tracker=tracker)
+        assert np.array_equal(curve.algorithm_loss, np.cumsum(losses[50:].sum(axis=1)))
+        assert tracker.revealed_count.tolist() == (~np.isnan(sims)).sum(axis=0).tolist()
 
     def test_sums_over_edges(self):
         rng = np.random.default_rng(13)

@@ -10,8 +10,10 @@ from spectral_imputer.graph import build_graph, components, laplacian
 from spectral_imputer.spectral import (
     DEGENERACY_TOL,
     Embedding,
+    batched_coordinates,
     embed,
     solve_generalized,
+    target_distances,
     widen_to_degenerate_group,
 )
 
@@ -228,6 +230,33 @@ class TestEmbed:
             assert emb.distance(ids[i], ids[j]) == pytest.approx(
                 dense_d, abs=1e-8
             )
+
+
+class TestBatchedCoordinates:
+    def test_rows_match_embed_including_widened_ones(self):
+        # On the uniform 4-cycle r=1 widens to the degenerate pair; on
+        # the other rows it does not, so one batch mixes effective
+        # dimensions and the narrow rows must ignore the extra column.
+        layout = make_layout([(0, 0), (0, 1), (1, 1), (1, 0)])
+        ids = layout.ids
+        ring = build_graph(layout, [(ids[k], ids[(k + 1) % 4]) for k in range(4)])
+        rng = np.random.default_rng(9)
+        weights = np.vstack([np.ones(4), rng.uniform(0.1, 1.0, (3, 4)), np.ones(4)])
+        ei, ej = ring.edge_index_arrays()
+        for r in (1, 2, 3):
+            coords = batched_coordinates(weights, ei, ej, 4, r)
+            widths = []
+            for b, w in enumerate(weights):
+                g = ring.with_weights(w)
+                emb = embed(g, components(g), r)[0]
+                widths.append(emb.r_eff)
+                for target in range(4):
+                    got = target_distances(coords[b : b + 1], [target])[0]
+                    want = [emb.distance(ids[target], sid) for sid in ids]
+                    assert np.allclose(got, want, atol=1e-12)
+            if r == 1:
+                assert widths == [2, 1, 1, 1, 2]
+            assert coords.shape == (5, 4, max(widths))
 
 
 def _weights_in_order(g, g2, rename):
