@@ -10,6 +10,7 @@ from this package exit nonzero with a single-line diagnostic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -66,18 +67,20 @@ def _settings(args) -> dict:
 
 
 def _commit(staged) -> None:
-    """Write all staged (path, text) pairs; on failure remove what landed."""
-    written = []
+    """Write all staged (path, text) pairs to temp files, then rename them all.
+
+    A failure deletes only temp files: a previous run's outputs stay intact.
+    """
+    temps = []
     try:
         for path, text in staged:
-            atomic_write_text(path, text)
-            written.append(path)
+            temps.append((atomic_write_text(path, text, defer=True), path))
+        for tmp, path in temps:
+            os.replace(tmp, path)
     except BaseException:
-        for path in written:
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        for tmp, _ in temps:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         raise
 
 

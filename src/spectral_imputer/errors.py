@@ -13,7 +13,14 @@ class SpectralImputerError(Exception):
 
 
 class InputError(SpectralImputerError):
-    """Malformed file content or inconsistent user-supplied data."""
+    """Malformed file content or inconsistent user-supplied data.
+
+    `row`, when known, is the 0-based data row at fault.
+    """
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigError(SpectralImputerError):

@@ -48,24 +48,30 @@ def timestamp_keys(timestamps):
     """Sortable keys for timestamp strings; numeric first, then ISO-8601.
 
     Raises:
-        InputError: if some timestamp parses under neither convention, a
-            numeric one is not finite, or timezone-aware and naive ISO-8601
-            values are mixed (they have no order).
+        InputError: carrying the row of the first timestamp that parses
+            under neither convention, a numeric one that is not finite, or
+            the first whose timezone awareness differs from row 0's
+            (aware and naive ISO-8601 values have no order).
     """
     try:
         keys = [float(t) for t in timestamps]
     except (TypeError, ValueError):
         pass
     else:
-        if not all(math.isfinite(k) for k in keys):
-            raise InputError("numeric timestamps must be finite")
+        bad = next((k for k, key in enumerate(keys) if not math.isfinite(key)), None)
+        if bad is not None:
+            raise InputError("numeric timestamps must be finite", row=bad)
         return keys
-    try:
-        keys = [datetime.fromisoformat(str(t)) for t in timestamps]
-    except ValueError as exc:
-        raise InputError(f"unparsable timestamp: {exc}") from None
-    if len({k.utcoffset() is None for k in keys}) > 1:
-        raise InputError("timestamps mix timezone-aware and naive ISO-8601 values")
+    keys = []
+    for k, t in enumerate(timestamps):
+        try:
+            keys.append(datetime.fromisoformat(str(t)))
+        except ValueError as exc:
+            raise InputError(f"unparsable timestamp: {exc}", row=k) from None
+    aware = [key.utcoffset() is not None for key in keys]
+    if len(set(aware)) > 1:
+        mixed = "timestamps mix timezone-aware and naive ISO-8601 values"
+        raise InputError(mixed, row=aware.index(not aware[0]))
     return keys
 
 
@@ -104,9 +110,9 @@ class Panel:
         if np.any(np.isfinite(self.values[~self.mask])):
             raise InputError("masked-out cells must hold NaN")
         keys = timestamp_keys(self.timestamps)
-        for a, b in zip(keys, keys[1:]):
-            if not a < b:
-                raise InputError("timestamps must be strictly increasing")
+        for k in range(1, len(keys)):
+            if not keys[k - 1] < keys[k]:
+                raise InputError("timestamps must be strictly increasing", row=k)
 
     @classmethod
     def from_values(cls, timestamps, sensor_ids, values) -> "Panel":
@@ -140,9 +146,6 @@ class Provenance(IntEnum):
     @property
     def label(self) -> str:
         return self.name.lower()
-
-
-PROVENANCE_LABELS = {p: p.label for p in Provenance}
 
 
 @dataclass

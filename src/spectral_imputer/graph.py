@@ -61,12 +61,6 @@ class FarmLayout:
     def n(self) -> int:
         return len(self.sensors)
 
-    def index_of(self, sensor_id: str) -> int:
-        for i, s in enumerate(self.sensors):
-            if s.sensor_id == sensor_id:
-                return i
-        raise KeyError(f"unknown sensor id {sensor_id!r}")
-
     def positions(self) -> np.ndarray:
         """(N, 2) array of (latitude, longitude) in layout order."""
         return np.array(

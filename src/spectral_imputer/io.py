@@ -10,19 +10,22 @@ numbers.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import logging
 import math
 import os
+import re
 import tempfile
+from itertools import chain, compress
 
 import numpy as np
 
 from . import __version__
 from .errors import InputError
-from .estimators import ImputationResult, Panel, Provenance, timestamp_keys
+from .estimators import ImputationResult, Panel, Provenance
 from .evaluation import EvalReport
 from .graph import FarmGraph, FarmLayout, Sensor
 from .online import RegretCurve, SimilarityTracker
@@ -46,11 +49,13 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_text(path, text: str) -> None:
+def atomic_write_text(path, text: str, *, defer: bool = False):
     """Write `text` to `path` through a same-directory temp file.
 
     The file lands with the mode a plain `open` would give it (0666 less
-    the umask), not the owner-only mode of the temp file.
+    the umask), not the owner-only mode of the temp file.  With
+    `defer=True` the finished temp file is left for the caller to rename
+    over `path` (or delete), and its name is returned.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
@@ -59,12 +64,12 @@ def atomic_write_text(path, text: str) -> None:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.chmod(tmp, 0o666 & ~_umask())
+        if defer:
+            return tmp
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -77,6 +82,19 @@ def _csv_text(rows) -> str:
 
 def _fmt(value) -> str:
     return repr(float(value))
+
+
+_PLAIN_FIELD = re.compile(r"[\w.:+-]*").fullmatch
+
+
+def _panel_csv(sensor_ids, timestamps, rows) -> str:
+    """Panel-shaped CSV: `rows` hold formatted cells that need no quoting.
+
+    The header and the timestamps are quoted as `csv.writer` quotes them.
+    """
+    stamps = [t if _PLAIN_FIELD(t) else _csv_text([(t, "")])[:-2] for t in timestamps]
+    lines = [f"{t},{','.join(row)}" for t, row in zip(stamps, rows)]
+    return _csv_text([("timestamp",) + sensor_ids]) + "\n".join(lines) + "\n"
 
 
 def _read_rows(path):
@@ -195,10 +213,6 @@ def components_csv_text(partition) -> str:
     return _csv_text(rows)
 
 
-def write_components(path, partition) -> None:
-    atomic_write_text(path, components_csv_text(partition))
-
-
 # ---------------------------------------------------------------------------
 # Panels.
 
@@ -207,77 +221,81 @@ def load_panel(path, layout: FarmLayout):
     """Read a raw panel CSV and normalize it against the layout.
 
     The header is `timestamp` followed by sensor ids in any order; the
-    column set must match the layout exactly.  Empty cells are missing.
-    Raw readings are divided by the sensor's capacity; results outside
-    [0, 1] are clamped and counted.
+    column set must match the layout exactly.  Empty and whitespace-only
+    cells are missing.  Raw readings are divided by the sensor's capacity;
+    results outside [0, 1] are clamped and counted.  Cells are parsed in
+    bulk; only a file with a bad row or cell is re-read cell by cell, to
+    name the first fault's line and column.
 
     Returns:
         (panel, clamp_count); a nonzero count is also logged.
     """
     rows = _read_rows(path)
-    header = rows[0]
+    header, body = rows[0], rows[1:]
     if not header or header[0] != "timestamp":
         raise InputError(f"{path} line 1: first column must be 'timestamp'")
     cols = [c.strip() for c in header[1:]]
-    seen = set()
-    for c in cols:
-        if c in seen:
-            raise InputError(f"{path} line 1: duplicate column {c!r}")
-        seen.add(c)
+    first = {c: k for k, c in reversed(list(enumerate(cols)))}
     known = set(layout.ids)
-    for c in cols:
-        if c not in known:
-            raise InputError(f"{path} line 1: unknown sensor column {c!r}")
-    for sid in layout.ids:
-        if sid not in seen:
-            raise InputError(f"{path} line 1: missing sensor column {sid!r}")
-    col_pos = {c: k for k, c in enumerate(cols)}
-    order = [col_pos[sid] for sid in layout.ids]
-    capacities = layout.capacities()
-
-    t_len = len(rows) - 1
-    if t_len == 0:
+    faults = [f"duplicate column {c!r}" for k, c in enumerate(cols) if first[c] != k]
+    faults += [f"unknown sensor column {c!r}" for c in cols if c not in known]
+    faults += [f"missing sensor column {s!r}" for s in layout.ids if s not in first]
+    if faults:
+        raise InputError(f"{path} line 1: {faults[0]}")
+    order = [first[sid] for sid in layout.ids]
+    if not body:
         raise InputError(f"{path}: panel has no data rows")
-    n = layout.n
-    values = np.full((t_len, n), np.nan)
-    mask = np.zeros((t_len, n), dtype=bool)
-    timestamps = []
-    clamp_count = 0
     width = len(header)
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise InputError(
-                f"{path} line {line}: expected {width} fields, got {len(row)}"
-            )
-        t = line - 2
-        timestamps.append(row[0])
-        for i, pos in enumerate(order):
-            text = row[1 + pos].strip()
-            if text == "":
-                continue
-            raw = _parse_float(text, path, line, f"value in column {cols[pos]!r}")
-            norm = raw / capacities[i]
-            if norm < 0.0:
-                norm = 0.0
-                clamp_count += 1
-            elif norm > 1.0:
-                norm = 1.0
-                clamp_count += 1
-            values[t, i] = norm
-            mask[t, i] = True
-
-    keys = timestamp_keys(timestamps)
-    for k in range(1, len(keys)):
-        if not keys[k - 1] < keys[k]:
-            raise InputError(
-                f"{path} line {k + 2}: timestamps must be strictly increasing"
-            )
-    panel = Panel(tuple(timestamps), layout.ids, values, mask)
+    bulk = _bulk_readings(body, width)
+    if bulk is None:
+        # Re-read cell by cell, rows in file order and sensors in layout
+        # order, to name the first fault.
+        for line, row in enumerate(body, start=2):
+            if len(row) != width:
+                raise InputError(
+                    f"{path} line {line}: expected {width} fields, got {len(row)}"
+                )
+            for pos in order:
+                if text := row[1 + pos].strip():
+                    _parse_float(text, path, line, f"value in column {cols[pos]!r}")
+    raw, present = bulk
+    # C order, unlike raw[:, order]: numpy's row sums depend on memory layout.
+    values = np.take(raw, order, axis=1) / layout.capacities()
+    low, high = values < 0.0, values > 1.0
+    values[low] = 0.0
+    values[high] = 1.0
+    clamp_count = int(low.sum() + high.sum())
+    mask = np.take(present, order, axis=1)
+    try:
+        panel = Panel(tuple(row[0] for row in body), layout.ids, values, mask)
+    except InputError as exc:
+        if exc.row is None:
+            raise
+        raise InputError(f"{path} line {exc.row + 2}: {exc}") from None
     if clamp_count:
         logger.warning(
             "%s: clamped %d out-of-range values into [0, 1]", path, clamp_count
         )
     return panel, clamp_count
+
+
+def _bulk_readings(body, width):
+    """(T, width - 1) raw readings and presence, in file column order.
+
+    None on a fault: a row of the wrong width, a cell Python's `float`
+    rejects or a non-finite reading.
+    """
+    if set(map(len, body)) != {width}:
+        return None
+    texts = list(map(str.strip, chain.from_iterable(row[1:] for row in body)))
+    present = list(map(bool, texts))
+    mask = np.array(present, dtype=bool).reshape(len(body), width - 1)
+    raw = np.full(mask.shape, np.nan)
+    try:
+        raw[mask] = np.fromiter(map(float, compress(texts, present)), float)
+    except ValueError:
+        return None
+    return (raw, mask) if np.isfinite(raw[mask]).all() else None
 
 
 def _denormalize(value: float, capacity: float) -> float:
@@ -326,16 +344,16 @@ def panel_csv_text(panel: Panel, layout: FarmLayout) -> str:
     if panel.sensor_ids != layout.ids:
         raise InputError("panel sensors do not match the layout")
     capacities = layout.capacities()
-    rows = [("timestamp",) + panel.sensor_ids]
-    for t in range(panel.t_len):
-        row = [panel.timestamps[t]]
-        for i in range(panel.n_sensors):
-            if panel.mask[t, i]:
-                row.append(_fmt(_denormalize(float(panel.values[t, i]), capacities[i])))
-            else:
-                row.append("")
-        rows.append(row)
-    return _csv_text(rows)
+    raw = panel.values * capacities
+    nudge = panel.mask & (raw / capacities != panel.values)
+    for t, i in np.argwhere(nudge).tolist():
+        raw[t, i] = _denormalize(float(panel.values[t, i]), float(capacities[i]))
+    cells = list(map(repr, raw.ravel().tolist()))
+    for k in np.flatnonzero(~panel.mask).tolist():
+        cells[k] = ""
+    n = panel.n_sensors
+    rows = (cells[k : k + n] for k in range(0, len(cells), n))
+    return _panel_csv(panel.sensor_ids, panel.timestamps, rows)
 
 
 def write_panel(path, panel: Panel, layout: FarmLayout) -> None:
@@ -350,18 +368,9 @@ def imputation_to_panel(result: ImputationResult) -> Panel:
 
 def provenance_csv_text(result: ImputationResult) -> str:
     """Per-cell provenance labels in panel layout."""
-    rows = [("timestamp",) + result.sensor_ids]
-    labels = {int(p): p.label for p in Provenance}
-    for t, ts in enumerate(result.timestamps):
-        row = [ts]
-        for i in range(len(result.sensor_ids)):
-            row.append(labels[int(result.provenance[t, i])])
-        rows.append(row)
-    return _csv_text(rows)
-
-
-def write_provenance(path, result: ImputationResult) -> None:
-    atomic_write_text(path, provenance_csv_text(result))
+    labels = np.array([Provenance(k).label for k in range(len(Provenance))], object)
+    rows = labels[result.provenance].tolist()
+    return _panel_csv(result.sensor_ids, result.timestamps, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +540,6 @@ def regret_csv_text(curve: RegretCurve) -> str:
                 _fmt(curve.regret[k]),
             )
         )
-    return _csv_text(rows)
-
-
-def timing_csv_text(report) -> str:
-    rows = [("n", "naive_per_row_s", "weighted_per_row_s")]
-    for n, a, b in zip(report.n_values, report.naive_per_row, report.weighted_per_row):
-        rows.append((str(n), _fmt(a), _fmt(b)))
-    rows.append(("slope", _fmt(report.naive_slope), _fmt(report.weighted_slope)))
     return _csv_text(rows)
 
 

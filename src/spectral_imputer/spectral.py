@@ -125,7 +125,6 @@ class Embedding:
     r_requested: int
     r_eff: int
     component_index: int
-    timestep: int | None = None
 
     def distance(self, a: str, b: str) -> float:
         """Euclidean distance between two member sensors.
@@ -244,12 +243,7 @@ def _spectrum_for_adjacency(a: np.ndarray, need: int):
         k = min(m - 1, k * 2)
 
 
-def embed(
-    graph: FarmGraph,
-    partition: ComponentPartition,
-    r: int,
-    timestep: int | None = None,
-) -> list[Embedding]:
+def embed(graph: FarmGraph, partition: ComponentPartition, r: int) -> list[Embedding]:
     """Embed every component of size >= 3; smaller ones yield nothing.
 
     Components of size 1 or 2 admit no useful spectrum (after dropping the
@@ -261,7 +255,6 @@ def embed(
         partition: its components; the partition's weight floor decides
             which edges enter each component's submatrix.
         r: requested embedding dimension, >= 1.
-        timestep: optional tag carried through to the embeddings.
 
     Raises:
         ConfigError: if r < 1.
@@ -288,7 +281,6 @@ def embed(
                 r_requested=r,
                 r_eff=r_eff,
                 component_index=comp,
-                timestep=timestep,
             )
         )
     return out

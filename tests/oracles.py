@@ -4,11 +4,14 @@ Everything here is deliberately written from the defining formulas with
 different machinery than the package: the generalized eigenproblem goes
 through scipy's two-argument eigh instead of the package's symmetric
 reduction, connectivity uses flood fill instead of union-find, kernels use
-math.exp instead of numpy expressions, and the tracker replay is a plain
-per-edge loop.  Agreement between these routes and the package is the
+math.exp instead of numpy expressions, the tracker replay is a plain
+per-edge loop, and the panel CSV writers go cell by cell through
+csv.writer.  Agreement between these routes and the package is the
 evidence; sharing code would make the checks circular.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -191,3 +194,51 @@ def oracle_impute_cell(
     coords = _static_coords(n, edges, r)
     dists = [float(np.linalg.norm(coords[col] - coords[j])) for j in others]
     return nw_estimate(kind, dists, vals)
+
+
+# ---------------------------------------------------------------------------
+# Panel CSV writers, cell by cell.
+
+
+def _raw_reading(value, capacity):
+    """Raw reading that divides back to `value`, nudged an ulp at a time."""
+    raw = value * capacity
+    if raw / capacity == value:
+        return raw
+    lo = hi = raw
+    for _ in range(8):
+        lo = math.nextafter(lo, -math.inf)
+        if lo / capacity == value:
+            return lo
+        hi = math.nextafter(hi, math.inf)
+        if hi / capacity == value:
+            return hi
+    raise ValueError(f"cannot encode {value!r} at capacity {capacity!r}")
+
+
+def _csv(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def panel_csv_text(timestamps, sensor_ids, values, mask, capacities):
+    """Raw-unit panel CSV written one cell at a time through csv.writer."""
+    rows = [("timestamp",) + tuple(sensor_ids)]
+    for t, ts in enumerate(timestamps):
+        row = [ts]
+        for i, cap in enumerate(capacities):
+            if mask[t, i]:
+                row.append(repr(float(_raw_reading(float(values[t, i]), float(cap)))))
+            else:
+                row.append("")
+        rows.append(row)
+    return _csv(rows)
+
+
+def provenance_csv_text(timestamps, sensor_ids, provenance, labels):
+    """Provenance CSV with `labels[code]` looked up one cell at a time."""
+    rows = [("timestamp",) + tuple(sensor_ids)]
+    for t, ts in enumerate(timestamps):
+        rows.append([ts] + [labels[int(code)] for code in provenance[t]])
+    return _csv(rows)

@@ -3,15 +3,19 @@
 import json
 import math
 import os
+from datetime import datetime
 
 import numpy as np
 import pytest
 
+from spectral_imputer import cli, estimators
 from spectral_imputer.cli import main
 from spectral_imputer.errors import InputError
 from spectral_imputer.estimators import (
     EstimatorConfig,
+    ImputationResult,
     Panel,
+    Provenance,
     impute_naive,
     impute_weighted_graph,
 )
@@ -21,7 +25,13 @@ from spectral_imputer.evaluation import (
     leave_one_out_eval,
     synth_panel,
 )
-from spectral_imputer.graph import build_graph, components, propose_grid_edges
+from spectral_imputer.graph import (
+    FarmLayout,
+    Sensor,
+    build_graph,
+    components,
+    propose_grid_edges,
+)
 from spectral_imputer.io import (
     atomic_write_text,
     checkpoint_csv_text,
@@ -30,6 +40,7 @@ from spectral_imputer.io import (
     imputation_to_panel,
     load_panel,
     manifest_text,
+    panel_csv_text,
     pivot_csv_text,
     provenance_csv_text,
     quantize_panel,
@@ -48,6 +59,7 @@ from spectral_imputer.io import (
 from spectral_imputer.online import regret_curve
 from spectral_imputer.spectral import embed
 
+import oracles
 from conftest import grid_layout
 
 
@@ -190,6 +202,100 @@ def test_load_panel_rejects_non_monotone_timestamps(tmp_path):
         load_panel(path, layout)
 
 
+@pytest.mark.parametrize(
+    "stamps, line, message",
+    [
+        (("0.0", "1.0", "inf"), 4, "numeric timestamps must be finite"),
+        (
+            ("2024-01-01T00:00", "2024-01-01T01:00+00:00"),
+            3,
+            "timestamps mix timezone-aware and naive ISO-8601 values",
+        ),
+        (("2024-01-01T00:00", "noon"), 3, "unparsable timestamp: "),
+        (("0.0", "2.0", "1.0"), 4, "timestamps must be strictly increasing"),
+    ],
+)
+def test_load_panel_timestamp_errors_name_file_and_line(
+    tmp_path, stamps, line, message
+):
+    layout = read_layout(_two_sensor_layout_csv(tmp_path))
+    rows = "".join(f"{ts},1.0,1.0\n" for ts in stamps)
+    path = _write(tmp_path / "p.csv", "timestamp,a,b\n" + rows)
+    with pytest.raises(InputError) as caught:
+        load_panel(path, layout)
+    assert str(caught.value).startswith(f"{path} line {line}: {message}")
+
+
+def test_load_panel_parses_timestamps_once(tmp_path, monkeypatch):
+    layout = read_layout(_two_sensor_layout_csv(tmp_path))
+    path = _write(
+        tmp_path / "p.csv",
+        "timestamp,a,b\n2024-01-01T00:00,1.0,\n2024-01-01T00:10,,2.0\n",
+    )
+    parsed = []
+
+    class CountingDatetime(datetime):
+        @classmethod
+        def fromisoformat(cls, text):
+            parsed.append(text)
+            return datetime.fromisoformat(text)
+
+    monkeypatch.setattr(estimators, "datetime", CountingDatetime)
+    load_panel(path, layout)
+    assert parsed == ["2024-01-01T00:00", "2024-01-01T00:10"]
+
+
+def test_load_panel_whitespace_only_cells_are_missing(tmp_path):
+    layout = read_layout(_two_sensor_layout_csv(tmp_path))
+    path = _write(tmp_path / "p.csv", "timestamp,a,b\n0.0, ,\t\n1.0,  3.5 ,  \n")
+    panel, clamped = load_panel(path, layout)
+    assert clamped == 0
+    assert panel.mask.tolist() == [[False, False], [True, False]]
+    assert panel.values[1, 0] == 0.5
+
+
+def test_load_panel_reports_first_bad_cell_in_layout_order(tmp_path):
+    # File columns c,a,b against layout a,b,c: within a row the layout's
+    # order decides which bad cell comes first.
+    layout = FarmLayout(
+        tuple(Sensor(sid, 0.0, float(k), 2.0) for k, sid in enumerate("abc"))
+    )
+    rows = [
+        ["0.0", "1.0", "1.0", "1.0"],
+        ["1.0", "oops", "nan", "1.0"],
+        ["2.0", "1.0", "1.0", "inf"],
+        ["3.0", "bad", "1.0", "1.0"],
+        ["4.0", "1.0", "1.0", "1.0", "1.0"],
+    ]
+    # (line, message, field that fixes it; None drops the extra field)
+    expected = [
+        (3, "value in column 'a' must be finite, got 'nan'", 2),
+        (3, "unparsable value in column 'c' 'oops'", 1),
+        (4, "value in column 'b' must be finite, got 'inf'", 3),
+        (5, "unparsable value in column 'c' 'bad'", 1),
+        (6, "expected 4 fields, got 5", None),
+    ]
+
+    def write():
+        body = "".join(",".join(r) + "\n" for r in rows)
+        return _write(tmp_path / "p.csv", "timestamp,c,a,b\n" + body)
+
+    for line, message, field in expected:
+        path = write()
+        with pytest.raises(InputError) as caught:
+            load_panel(path, layout)
+        assert str(caught.value) == f"{path} line {line}: {message}"
+        if field is None:
+            rows[line - 2].pop()
+        else:
+            rows[line - 2][field] = "1.0"
+    panel, clamped = load_panel(write(), layout)
+    assert panel.mask.all() and clamped == 0
+    # Row-major like every other panel: numpy's row reductions (the naive
+    # mean among them) add in a layout-dependent order.
+    assert panel.values.flags.c_contiguous and panel.mask.flags.c_contiguous
+
+
 def test_load_panel_rejects_empty_files(tmp_path):
     layout = read_layout(_two_sensor_layout_csv(tmp_path))
     empty = _write(tmp_path / "e.csv", "")
@@ -221,6 +327,54 @@ def test_panel_write_load_round_trip_bit_exact(tmp_path):
     assert again.timestamps == panel.timestamps
     assert np.array_equal(again.mask, panel.mask)
     assert np.array_equal(again.values, panel.values, equal_nan=True)
+
+
+def test_panel_writers_match_cell_by_cell_oracle():
+    # Quoting in the header, capacities whose products round (value *
+    # capacity differs from the reading), 0.0 and 1.0 cells and an
+    # all-missing column.
+    rng = np.random.default_rng(21)
+    caps = np.array([3.0, 0.1, 1.0 / 3.0, 7.3, 1e5])
+    ids = ["a", 'q"x', "c,d", "e", "f"]
+    layout = FarmLayout(
+        tuple(Sensor(i, 0.0, float(k), c) for k, (i, c) in enumerate(zip(ids, caps)))
+    )
+    raw = rng.uniform(0.0, 1.0, (40, 5)) * caps
+    values = raw / caps
+    values[::7, 1] = 0.0
+    values[3::5, 2] = 1.0
+    mask = rng.random((40, 5)) > 0.2
+    mask[:, 3] = False
+    values[~mask] = np.nan
+    assert np.any(mask & (values * caps != raw))
+    # Numeric timestamps may carry whitespace, and a newline forces quoting.
+    stamps = tuple(f"{t}\n" if t % 3 == 0 else f" {t}.5" for t in range(40))
+    panel = Panel(stamps, layout.ids, values, mask)
+    expect = oracles.panel_csv_text(
+        stamps, layout.ids, panel.values, panel.mask, layout.capacities()
+    )
+    assert panel_csv_text(panel, layout) == expect
+    iso = tuple(f"2024-01-01T{t // 60:02d}:{t % 60:02d}:00+00:00" for t in range(40))
+    panel = Panel(iso, layout.ids, values, mask)
+    expect = oracles.panel_csv_text(
+        iso, layout.ids, panel.values, panel.mask, layout.capacities()
+    )
+    assert panel_csv_text(panel, layout) == expect
+
+    codes = rng.integers(0, len(Provenance), size=(40, 5))
+    result = ImputationResult(layout.ids, stamps, values, codes)
+    labels = {int(p): p.label for p in Provenance}
+    expect = oracles.provenance_csv_text(stamps, layout.ids, codes, labels)
+    assert provenance_csv_text(result) == expect
+
+
+def test_panel_writer_rejects_unreachable_value_like_oracle():
+    layout = FarmLayout((Sensor("a", 0.0, 0.0, 3.0),))
+    panel = Panel(("0",), ("a",), np.array([[0.1]]), np.array([[True]]))
+    with pytest.raises(ValueError):
+        oracles.panel_csv_text(("0",), ("a",), panel.values, panel.mask, [3.0])
+    with pytest.raises(InputError, match="cannot encode value 0.1 exactly"):
+        panel_csv_text(panel, layout)
 
 
 def test_quantize_panel_idempotent_and_close(tmp_path):
@@ -589,6 +743,29 @@ def test_cli_rollback_removes_outputs_on_late_failure(tmp_path):
     )
     assert rc == 2
     assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_cli_failed_rerun_keeps_previous_outputs(tmp_path, monkeypatch):
+    layout_csv = _layout_file(tmp_path)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    out = tmp_path / "imp"
+    args = ["impute", "--layout", layout_csv, "--panel", masked_csv, "--out", str(out)]
+    assert main(args + ["--method", "naive"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    write = cli.atomic_write_text
+    calls = []
+
+    def second_write_fails(path, text, **kwargs):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return write(path, text, **kwargs)
+
+    monkeypatch.setattr(cli, "atomic_write_text", second_write_fails)
+    assert main(args + ["--method", "location"]) == 2
+    assert len(calls) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_cli_evaluate_deterministic_bytes(tmp_path):
