@@ -20,7 +20,6 @@ from .estimators import (
     METHODS,
     DEFAULT_WEIGHT_FLOOR,
     EstimatorConfig,
-    impute_weighted_graph,
     revealed_similarity_rows,
     run_estimator,
 )
@@ -109,13 +108,9 @@ def _cmd_graph(args):
     layout = read_layout(args.layout)
     if args.edges is not None and args.propose is not None:
         raise ConfigError("give --edges or --propose, not both")
-    if args.edges is not None:
-        pairs, weights = read_edge_list(args.edges)
-    else:
-        pairs, weights = propose_grid_edges(layout, args.propose or "king"), None
-    graph = build_graph(layout, pairs)
-    if weights is not None:
-        graph = graph.with_weights(weights)
+    graph = _load_graph(layout, args, required=False)
+    if graph is None:
+        graph = build_graph(layout, propose_grid_edges(layout, args.propose or "king"))
     partition = components(graph, weight_floor=args.weight_floor)
     staged = [
         (_out_path(args, "edges.csv"), edge_list_csv_text(graph)),
@@ -131,10 +126,7 @@ def _cmd_graph(args):
 
 def _cmd_embed(args):
     layout = read_layout(args.layout)
-    pairs, weights = read_edge_list(args.edges)
-    graph = build_graph(layout, pairs)
-    if weights is not None:
-        graph = graph.with_weights(weights)
+    graph = _load_graph(layout, args, required=True)
     partition = components(graph)
     embeddings = embed(graph, partition, args.dim)
     embedded = sum(len(e.coordinates) for e in embeddings)
@@ -170,32 +162,22 @@ def _cmd_impute(args):
     ):
         raise ConfigError("checkpoints only apply to the weighted_graph method")
     panel, clamped = load_panel(args.panel, layout)
-    staged = []
+    tracker = None
     if args.method == "weighted_graph":
         tracker = (
             read_checkpoint(args.checkpoint_in, graph, eta=args.eta)
             if args.checkpoint_in
-            else None
+            else SimilarityTracker.for_graph(graph, eta=args.eta)
         )
-        result, tracker = impute_weighted_graph(
-            panel,
-            graph,
-            kind=config.kernel,
-            r=config.r,
-            tracker=tracker,
-            eta=config.learning_rate,
-            weight_floor=config.weight_floor,
-        )
-        if args.checkpoint_out:
-            staged.append((args.checkpoint_out, checkpoint_csv_text(tracker)))
-    else:
-        result = run_estimator(panel, config, layout=layout, graph=graph)
+    result = run_estimator(panel, config, layout=layout, graph=graph, tracker=tracker)
     filled = quantize_panel(imputation_to_panel(result), layout)
     staged = [
         (_out_path(args, "filled.csv"), panel_csv_text(filled, layout)),
         (_out_path(args, "provenance.csv"), provenance_csv_text(result)),
         (_out_path(args, "manifest.json"), manifest_text("impute", _settings(args))),
-    ] + staged
+    ]
+    if args.checkpoint_out:
+        staged.append((args.checkpoint_out, checkpoint_csv_text(tracker)))
     tags = ", ".join(f"{k}={v}" for k, v in sorted(result.tag_counts().items()))
     summary = f"imputed panel ({tags or 'all observed'}; {clamped} clamped) -> {args.out}"
     return staged, summary
@@ -330,10 +312,7 @@ def _cmd_simulate(args):
 
 def _cmd_regret(args):
     layout = read_layout(args.layout)
-    pairs, weights = read_edge_list(args.edges)
-    graph = build_graph(layout, pairs)
-    if weights is not None:
-        graph = graph.with_weights(weights)
+    graph = _load_graph(layout, args, required=True)
     panel, clamped = load_panel(args.panel, layout)
     tracker = (
         read_checkpoint(args.checkpoint_in, graph, eta=args.eta)

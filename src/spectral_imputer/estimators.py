@@ -14,6 +14,8 @@ neighbor distances come from:
   similarities supplied by an online tracker.
 
 Every filled cell carries a provenance tag saying which path produced it.
+`make_estimator` builds the configured estimator; imputation runs it over
+every hole, and leave-one-out evaluation over hidden cells.
 """
 
 from __future__ import annotations
@@ -198,7 +200,7 @@ class EstimatorConfig:
             raise ConfigError(f"embedding dimension must be >= 1, got {self.r}")
         if not self.learning_rate > 0:
             raise ConfigError("learning rate must be > 0")
-        if self.weight_floor < 0:
+        if not self.weight_floor >= 0:
             raise ConfigError("weight floor must be >= 0")
 
 
@@ -232,73 +234,61 @@ def static_embedding_distances(graph: FarmGraph, r: int) -> np.ndarray:
     return np.sqrt((diff**2).sum(axis=2))
 
 
-def _check_alignment(panel: Panel, ids, what: str):
-    if panel.sensor_ids != tuple(ids):
+def _check_alignment(panel_ids, ids, what: str):
+    if panel_ids != tuple(ids):
         raise InputError(
-            f"panel sensors do not match the {what}: "
-            f"{panel.sensor_ids} vs {tuple(ids)}"
+            f"panel sensors do not match the {what}: {panel_ids} vs {tuple(ids)}"
         )
 
 
-def _impute_by_distances(panel: Panel, dist: np.ndarray, kind: str) -> ImputationResult:
-    """Fill each missing cell from observed same-row sensors at fixed distances."""
-    values = np.where(panel.mask, panel.values, 0.0)
-    filled = panel.values.copy()
-    provenance = np.zeros(panel.values.shape, dtype=np.int8)
-    provenance[~panel.mask] = int(Provenance.UNIMPUTABLE)
-    for col in range(panel.n_sensors):
-        rows = np.flatnonzero(~panel.mask[:, col])
-        if rows.size == 0:
-            continue
-        obs = panel.mask[rows]
-        counts = obs.sum(axis=1)
-        good = counts > 0
-        if not np.any(good):
-            continue
-        sel = rows[good]
-        weights, fallback = kernel_weight_rows(
-            kind, np.broadcast_to(dist[col], (sel.size, panel.n_sensors)), panel.mask[sel]
-        )
-        filled[sel, col] = (weights * values[sel]).sum(axis=1)
-        provenance[sel, col] = np.where(
-            fallback, int(Provenance.UNIFORM_FALLBACK), int(Provenance.WEIGHTED_KNN)
-        )
-    return ImputationResult(
-        panel.sensor_ids, panel.timestamps, filled, provenance
-    )
+def _kernel_fill(kind: str, dist, values, obs):
+    """Kernel-weighted means over each target cell's observed neighbors.
 
+    Args:
+        dist, values, obs: (C, M) distances from each target cell to its
+            candidate neighbors, their readings (finite, and ignored where
+            `obs` is False) and their availability, >= 1 per row.
 
-def impute_naive(panel: Panel) -> ImputationResult:
-    """Arithmetic mean of the row's observed sensors.
-
-    One vectorized pass over the panel; no per-sensor work beyond the
-    row sums, since every observed neighbor carries the same weight.
+    Returns:
+        (estimates, codes), both (C,): uniform_fallback where the kernel
+        weights vanished, weighted_knn elsewhere.
     """
-    vals = np.where(panel.mask, panel.values, 0.0)
-    counts = panel.mask.sum(axis=1)
-    means = vals.sum(axis=1) / np.where(counts > 0, counts, 1)
-    miss = ~panel.mask
-    filled = panel.values.copy()
-    provenance = np.zeros(panel.values.shape, dtype=np.int8)
-    fillable = miss & (counts > 0)[:, None]
-    filled[fillable] = np.broadcast_to(means[:, None], filled.shape)[fillable]
-    provenance[fillable] = int(Provenance.WEIGHTED_KNN)
-    provenance[miss & (counts == 0)[:, None]] = int(Provenance.UNIMPUTABLE)
-    return ImputationResult(panel.sensor_ids, panel.timestamps, filled, provenance)
+    weights, fallback = kernel_weight_rows(kind, dist, obs)
+    codes = np.where(
+        fallback, int(Provenance.UNIFORM_FALLBACK), int(Provenance.WEIGHTED_KNN)
+    )
+    return (weights * values).sum(axis=1), codes
 
 
-def impute_location(panel: Panel, layout: FarmLayout, kind: str = "triweight") -> ImputationResult:
-    """Kernel weights from geographic distances."""
-    _check_alignment(panel, layout.ids, "layout")
-    return _impute_by_distances(panel, geo_distance_matrix(layout), kind)
+# Every estimator answers `estimate(values, obs, rows, targets, guesses)`:
+# values and obs are (B, N) row arrays, values finite and ignored where
+# obs is False, and every row holding a target has an observed sensor;
+# cell c is sensor targets[c] of row rows[c] (`targets` may be one sensor
+# for every cell); guesses are the (B, E) tracker guesses, used only by
+# weighted_graph.  It returns (C,) estimates and provenance codes.
 
 
-def impute_unweighted_graph(
-    panel: Panel, graph: FarmGraph, kind: str = "triweight", r: int = 2
-) -> ImputationResult:
-    """Kernel weights from the fixed graph's embedding distances."""
-    _check_alignment(panel, graph.node_ids, "graph")
-    return _impute_by_distances(panel, static_embedding_distances(graph, r), kind)
+class _MeanEstimator:
+    """naive: the plain mean of the row's observed sensors."""
+
+    def estimate(self, values, obs, rows, targets, guesses=None):
+        # Rows without a target may have nothing observed.
+        counts = obs.sum(axis=1)
+        means = (values * obs).sum(axis=1) / np.where(counts > 0, counts, 1)
+        return means[rows], np.full(rows.size, int(Provenance.WEIGHTED_KNN))
+
+
+class _FixedDistanceEstimator:
+    """location and unweighted_graph: one (N, N) distance matrix for all rows."""
+
+    def __init__(self, kind: str, dist: np.ndarray):
+        self.kind = kind
+        self.dist = dist
+
+    def estimate(self, values, obs, rows, targets, guesses=None):
+        obs = obs[rows]
+        dist = np.broadcast_to(self.dist[targets], obs.shape)
+        return _kernel_fill(self.kind, dist, values[rows], obs)
 
 
 def instantaneous_similarity(a, b):
@@ -306,14 +296,20 @@ def instantaneous_similarity(a, b):
     return 1.0 - np.abs(a - b)
 
 
+def _edge_similarities(values, obs, ei, ej, unrevealed):
+    """(B, E) similarity of each edge whose ends are both observed, else `unrevealed`."""
+    both = obs[:, ei] & obs[:, ej]
+    return np.where(both, instantaneous_similarity(values[:, ei], values[:, ej]), unrevealed)
+
+
 class _WeightedRowImputer:
-    """Shared per-row machinery for the time-varying graph estimator.
+    """weighted_graph: per-row embeddings of the similarity-weighted graph.
 
     Holds everything that is constant across rows: topology, kernel,
     dimension, weight floor, and the static-graph distances used when a
-    sensor ends up outside any embeddable component.  `impute_rows` takes
-    many rows at once when every edge is live; `impute_row` handles one
-    row whatever its graph.
+    sensor ends up outside any embeddable component.  `estimate` routes
+    rows between one batched eigendecomposition and `impute_row`, which
+    handles one row whatever its graph.
     """
 
     def __init__(self, graph: FarmGraph, kind: str, r: int, weight_floor: float):
@@ -324,53 +320,63 @@ class _WeightedRowImputer:
         self.weight_floor = weight_floor
         self.static_dist = static_embedding_distances(graph, r)
 
+    def edge_weights(self, values, obs, guesses):
+        """(B, E) revealed similarities, with `guesses` on the other edges."""
+        return _edge_similarities(values, obs, self.ei, self.ej, guesses)
+
     def batchable(self, obs, edge_weights) -> np.ndarray:
-        """(B,) bool: rows that `impute_rows` takes, the rest `impute_row`.
+        """(B,) bool: rows embedded in one batch, the rest by `impute_row`.
 
         A row qualifies when it has an observed sensor and every edge
         weight clears the floor, on a farm of 3 to DENSE_SOLVER_MAX
-        sensors.  Smaller farms copy a lone neighbor, and larger ones embed
-        each row with the iterative solver.
+        sensors.  With every edge live the row's graph is the static
+        graph, which is connected, so one batched eigendecomposition
+        embeds them all.  Smaller farms copy a lone neighbor, and larger
+        ones embed each row with the iterative solver.
         """
         if not 3 <= self.n <= spectral.DENSE_SOLVER_MAX:
             return np.zeros(len(obs), dtype=bool)
         return obs.any(axis=1) & (edge_weights > self.weight_floor).all(axis=1)
 
-    def impute_rows(self, values, obs, edge_weights):
-        """`impute_row` for a batch of rows that are all `batchable`.
-
-        With every weight above the floor each row's graph is the static
-        graph, which is connected: one component over all sensors, so one
-        batched eigendecomposition embeds the whole batch.
-
-        Args:
-            values: (B, N) readings; entries where `obs` is False are
-                ignored.
-            obs: (B, N) bool availability.
-            edge_weights: (B, E) similarity weights, all > weight_floor.
-
-        Returns:
-            (estimates, codes), both (B, N), laid out as `impute_row`
-            lays out one row.
-        """
-        coords = batched_coordinates(edge_weights, self.ei, self.ej, self.n, self.r)
-        rows, targets = np.nonzero(~obs)
-        dist = target_distances(coords[rows], targets)
-        weights, fallback = kernel_weight_rows(self.kind, dist, obs[rows])
-        estimates = np.full(obs.shape, np.nan)
-        codes = np.zeros(obs.shape, dtype=np.int8)
-        vals = np.where(obs, values, 0.0)
-        estimates[rows, targets] = (weights * vals[rows]).sum(axis=1)
-        codes[rows, targets] = np.where(
-            fallback, int(Provenance.UNIFORM_FALLBACK), int(Provenance.WEIGHTED_KNN)
-        )
+    def estimate(self, values, obs, rows, targets, guesses):
+        """Batchable rows share eigendecompositions, the rest take `impute_row`."""
+        targets = np.broadcast_to(targets, rows.shape)
+        weights = self.edge_weights(values, obs, guesses)
+        wanted = np.zeros(len(obs), dtype=bool)
+        wanted[rows] = True
+        fast = wanted & self.batchable(obs, weights)
+        estimates = np.empty(rows.size)
+        codes = np.empty(rows.size, dtype=np.int8)
+        # Position of each cell's row among the batchable rows, else -1.
+        batch = np.flatnonzero(fast)
+        pos = np.where(fast[rows], np.cumsum(fast)[rows] - 1, -1)
+        step = batch_rows(self.n)
+        for start in range(0, batch.size, step):
+            w = weights[batch[start : start + step]]
+            coords = batched_coordinates(w, self.ei, self.ej, self.n, self.r)
+            cells = np.flatnonzero((pos >= start) & (pos < start + step))
+            dist = target_distances(coords[pos[cells] - start], targets[cells])
+            at = rows[cells]
+            estimates[cells], codes[cells] = _kernel_fill(
+                self.kind, dist, values[at], obs[at]
+            )
+        cells = np.flatnonzero(pos < 0)
+        slow = np.unique(rows[cells])
+        row_estimates = np.empty((slow.size, self.n))
+        row_codes = np.empty((slow.size, self.n), dtype=np.int8)
+        for k, b in enumerate(slow):
+            row_estimates[k], row_codes[k] = self.impute_row(values[b], obs[b], weights[b])
+        k = np.searchsorted(slow, rows[cells])
+        estimates[cells] = row_estimates[k, targets[cells]]
+        codes[cells] = row_codes[k, targets[cells]]
         return estimates, codes
 
     def impute_row(self, values_row, obs_row, edge_weights):
         """Estimates and provenance for one row's missing sensors.
 
         Args:
-            values_row: (N,) readings, NaN at missing sensors.
+            values_row: (N,) readings; entries where `obs_row` is False
+                are ignored.
             obs_row: (N,) bool availability.
             edge_weights: (E,) similarity weight per graph edge, revealed
                 or guessed, in [0, 1].
@@ -384,7 +390,10 @@ class _WeightedRowImputer:
         estimates = np.full(n, np.nan)
         codes = np.zeros(n, dtype=np.int8)
         missing = np.flatnonzero(~obs_row)
-        if missing.size == 0:
+        observed = np.flatnonzero(obs_row)
+        if missing.size == 0 or observed.size == 0:
+            # Nothing to fill, or nothing to fill it from.
+            codes[missing] = int(Provenance.UNIMPUTABLE)
             return estimates, codes
         keep = edge_weights > self.weight_floor
         if keep.all():
@@ -401,53 +410,140 @@ class _WeightedRowImputer:
         vals = np.where(obs_row, values_row, 0.0)
         for comp in np.unique(labels[missing]):
             members = np.flatnonzero(labels == comp)
-            miss = members[~obs_row[members]]
-            obs = members[obs_row[members]]
+            inside = obs_row[members]
+            miss, obs = members[~inside], members[inside]
             if members.size >= 3 and obs.size > 0:
                 a_sub = a_full[np.ix_(members, members)]
                 r_base = min(self.r, members.size - 1)
                 eigenvalues, vectors = _spectrum_for_adjacency(a_sub, r_base)
                 r_eff = widen_to_degenerate_group(eigenvalues, r_base)
                 coords = vectors[:, 1 : r_eff + 1]
-                local = {node: row for row, node in enumerate(members)}
-                obs_coords = coords[[local[o] for o in obs]]
-                for l in miss:
-                    d = np.linalg.norm(obs_coords - coords[local[l]], axis=1)
-                    weights, fallback = kernel_weight_rows(
-                        self.kind, d[None, :], np.ones((1, obs.size), dtype=bool)
-                    )
-                    estimates[l] = float(weights[0] @ vals[obs])
-                    codes[l] = int(
-                        Provenance.UNIFORM_FALLBACK
-                        if fallback[0]
-                        else Provenance.WEIGHTED_KNN
-                    )
+                d = np.linalg.norm(coords[inside] - coords[~inside][:, None], axis=2)
+                estimates[miss], codes[miss] = _kernel_fill(
+                    self.kind, d, np.broadcast_to(vals[obs], d.shape), np.ones(d.shape, bool)
+                )
             elif members.size == 2 and obs.size == 1:
                 estimates[miss[0]] = vals[obs[0]]
                 codes[miss[0]] = int(Provenance.SMALL_COMPONENT_COPY)
             else:
                 # Isolated sensors and components with nothing observed:
                 # fall back to the fixed graph over whatever is observed.
-                all_obs = np.flatnonzero(obs_row)
-                for l in miss:
-                    if all_obs.size == 0:
-                        codes[l] = int(Provenance.UNIMPUTABLE)
-                        continue
-                    d = self.static_dist[l, all_obs]
-                    weights, _ = kernel_weight_rows(
-                        self.kind, d[None, :], np.ones((1, all_obs.size), dtype=bool)
-                    )
-                    estimates[l] = float(weights[0] @ vals[all_obs])
-                    codes[l] = int(Provenance.STATIC_GRAPH_FALLBACK)
+                d = self.static_dist[np.ix_(miss, observed)]
+                estimates[miss], _ = _kernel_fill(
+                    self.kind, d, np.broadcast_to(vals[observed], d.shape), np.ones(d.shape, bool)
+                )
+                codes[miss] = int(Provenance.STATIC_GRAPH_FALLBACK)
         return estimates, codes
+
+
+def make_estimator(
+    config: EstimatorConfig,
+    sensor_ids,
+    layout: FarmLayout | None = None,
+    graph: FarmGraph | None = None,
+):
+    """The estimator `config` names, for a panel with these sensors.
+
+    Raises:
+        ConfigError: when the method needs a layout or graph not given,
+            or a graph method's graph is not connected.
+        InputError: when the sensors do not match the layout or graph.
+    """
+    if config.method == "naive":
+        return _MeanEstimator()
+    if config.method == "location":
+        if layout is None:
+            raise ConfigError("method 'location' needs a farm layout")
+        _check_alignment(sensor_ids, layout.ids, "layout")
+        return _FixedDistanceEstimator(config.kernel, geo_distance_matrix(layout))
+    if graph is None:
+        raise ConfigError(f"method {config.method!r} needs a sensor graph")
+    _check_alignment(sensor_ids, graph.node_ids, "graph")
+    if config.method == "unweighted_graph":
+        dist = static_embedding_distances(graph, config.r)
+        return _FixedDistanceEstimator(config.kernel, dist)
+    return _WeightedRowImputer(graph, config.kernel, config.r, config.weight_floor)
+
+
+def _impute(panel: Panel, estimator, tracker: SimilarityTracker | None):
+    """Run `estimator` over every hole of the panel, in blocks of rows.
+
+    A row with nothing observed has no neighbor to draw on, so its cells
+    stay NaN, tagged unimputable, whatever the method.  With a tracker
+    (weighted_graph), each block first replays it over the block's revealed
+    similarities: the tracker learns only from those, so the value being
+    imputed never feeds its own weights, and each row is estimated with
+    the guesses the tracker played before it.  Blocks hold `batch_rows`
+    rows, which bounds the memory of every per-block array.
+    """
+    filled = panel.values.copy()
+    provenance = np.where(
+        panel.mask, int(Provenance.OBSERVED), int(Provenance.UNIMPUTABLE)
+    ).astype(np.int8)
+    guesses = None
+    step = batch_rows(panel.n_sensors)
+    for start in range(0, panel.t_len, step):
+        mask = panel.mask[start : start + step]
+        values = np.where(mask, panel.values[start : start + step], 0.0)
+        if tracker is not None:
+            guesses, _ = tracker.replay(estimator.edge_weights(values, mask, np.nan))
+        rows, targets = np.nonzero(~mask & mask.any(axis=1, keepdims=True))
+        estimates, codes = estimator.estimate(values, mask, rows, targets, guesses)
+        filled[start + rows, targets] = estimates
+        provenance[start + rows, targets] = codes
+    return ImputationResult(panel.sensor_ids, panel.timestamps, filled, provenance)
+
+
+def run_estimator(
+    panel: Panel,
+    config: EstimatorConfig,
+    layout: FarmLayout | None = None,
+    graph: FarmGraph | None = None,
+    tracker: SimilarityTracker | None = None,
+) -> ImputationResult:
+    """Fill every hole of the panel with the configured estimator.
+
+    Args:
+        tracker: weighted_graph only: the state to continue from, updated
+            in place; a fresh one (rate `config.learning_rate`) when
+            omitted.
+
+    Raises:
+        ConfigError: when the method needs a layout or graph not given.
+        InputError: when the panel's sensors or the tracker's edges do
+            not match.
+    """
+    estimator = make_estimator(config, panel.sensor_ids, layout, graph)
+    if config.method != "weighted_graph":
+        tracker = None
+    elif tracker is None:
+        tracker = SimilarityTracker.for_graph(graph, eta=config.learning_rate)
+    elif tracker.edge_ids != graph.edge_ids:
+        raise InputError("tracker edges do not match the graph")
+    return _impute(panel, estimator, tracker)
+
+
+def impute_naive(panel: Panel) -> ImputationResult:
+    """Arithmetic mean of the row's observed sensors."""
+    return run_estimator(panel, EstimatorConfig("naive"))
+
+
+def impute_location(panel: Panel, layout: FarmLayout, kind: str = "triweight") -> ImputationResult:
+    """Kernel weights from geographic distances."""
+    return run_estimator(panel, EstimatorConfig("location", kind), layout=layout)
+
+
+def impute_unweighted_graph(
+    panel: Panel, graph: FarmGraph, kind: str = "triweight", r: int = 2
+) -> ImputationResult:
+    """Kernel weights from the fixed graph's embedding distances."""
+    return run_estimator(panel, EstimatorConfig("unweighted_graph", kind, r), graph=graph)
 
 
 def revealed_similarity_rows(panel: Panel, graph: FarmGraph) -> np.ndarray:
     """(T, E) edge similarities where both endpoints are observed, else NaN."""
     ei, ej = graph.edge_index_arrays()
-    both = panel.mask[:, ei] & panel.mask[:, ej]
-    sims = instantaneous_similarity(panel.values[:, ei], panel.values[:, ej])
-    return np.where(both, sims, np.nan)
+    return _edge_similarities(panel.values, panel.mask, ei, ej, np.nan)
 
 
 def impute_weighted_graph(
@@ -463,14 +559,12 @@ def impute_weighted_graph(
 
     At each row, edges between two observed sensors carry the revealed
     similarity; every other edge carries the tracker's guess as it stood
-    before that row.  The tracker learns only from revealed similarities,
-    so the value being imputed never feeds its own weights, and the guess
-    sequence does not depend on the estimates.  Rows are therefore taken
-    in blocks: the tracker is replayed over a block first, then every
-    holed row of it whose edges all clear `weight_floor` is embedded in one
-    batched eigendecomposition.  Rows where an edge drops out, rows with
-    nothing observed, and farms under 3 or over `DENSE_SOLVER_MAX` sensors
-    go one row at a time through the per-component path.
+    before that row.  The guess sequence does not depend on the estimates,
+    so rows are taken in blocks: the tracker is replayed over a block
+    first, then every holed row of it whose edges all clear `weight_floor`
+    is embedded in one batched eigendecomposition.  Rows where an edge
+    drops out, and farms under 3 or over `DENSE_SOLVER_MAX` sensors, go
+    one row at a time through the per-component path.
 
     Args:
         tracker: state to continue from; a fresh one (rate `eta`) is made
@@ -479,39 +573,10 @@ def impute_weighted_graph(
     Raises:
         InputError: if the tracker's edges do not match the graph's.
     """
-    _check_alignment(panel, graph.node_ids, "graph")
     if tracker is None:
         tracker = SimilarityTracker.for_graph(graph, eta=eta)
-    if tracker.edge_ids != graph.edge_ids:
-        raise InputError("tracker edges do not match the graph")
-    worker = _WeightedRowImputer(graph, kind, r, weight_floor)
-    revealed = revealed_similarity_rows(panel, graph)
-    filled = panel.values.copy()
-    provenance = np.zeros(panel.values.shape, dtype=np.int8)
-    step = batch_rows(panel.n_sensors)
-    for start in range(0, panel.t_len, step):
-        block = revealed[start : start + step]
-        guesses, _ = tracker.replay(block)
-        weights = np.where(np.isnan(block), guesses, block)
-        mask = panel.mask[start : start + step]
-        values = panel.values[start : start + step]
-        holed = ~mask.all(axis=1)
-        fast = holed & worker.batchable(mask, weights)
-        if fast.any():
-            estimates, codes = worker.impute_rows(
-                values[fast], mask[fast], weights[fast]
-            )
-            t = start + np.flatnonzero(fast)
-            filled[t] = np.where(mask[fast], values[fast], estimates)
-            provenance[t] = codes
-        for b in np.flatnonzero(holed & ~fast):
-            estimates, codes = worker.impute_row(values[b], mask[b], weights[b])
-            filled[start + b] = np.where(mask[b], values[b], estimates)
-            provenance[start + b] = codes
-    return (
-        ImputationResult(panel.sensor_ids, panel.timestamps, filled, provenance),
-        tracker,
-    )
+    config = EstimatorConfig("weighted_graph", kind, r, eta, weight_floor)
+    return run_estimator(panel, config, graph=graph, tracker=tracker), tracker
 
 
 def impute_sampling(weights: WeightVector, observed: dict[str, float], seed: int) -> float:
@@ -531,39 +596,3 @@ def impute_sampling(weights: WeightVector, observed: dict[str, float], seed: int
     rng = np.random.default_rng(seed)
     choice = ids[int(rng.choice(len(ids), p=p))]
     return float(observed[choice])
-
-
-def run_estimator(
-    panel: Panel,
-    config: EstimatorConfig,
-    layout: FarmLayout | None = None,
-    graph: FarmGraph | None = None,
-    tracker: SimilarityTracker | None = None,
-) -> ImputationResult:
-    """Dispatch one configured estimator over a panel.
-
-    Raises:
-        ConfigError: when the method needs a layout or graph not given.
-    """
-    if config.method == "naive":
-        return impute_naive(panel)
-    if config.method == "location":
-        if layout is None:
-            raise ConfigError("location method needs a layout")
-        return impute_location(panel, layout, config.kernel)
-    if config.method == "unweighted_graph":
-        if graph is None:
-            raise ConfigError("unweighted_graph method needs a graph")
-        return impute_unweighted_graph(panel, graph, config.kernel, config.r)
-    if graph is None:
-        raise ConfigError("weighted_graph method needs a graph")
-    result, _ = impute_weighted_graph(
-        panel,
-        graph,
-        kind=config.kernel,
-        r=config.r,
-        tracker=tracker,
-        eta=config.learning_rate,
-        weight_floor=config.weight_floor,
-    )
-    return result

@@ -5,8 +5,9 @@ estimator on the modified row, and scores the estimate against the hidden
 truth.  For the time-varying graph method the per-row similarity guesses
 depend only on the rows before it, which the hide does not touch, so the
 whole guess sequence can be replayed once up front and every (row, sensor)
-score computed independently.  That is what makes the batched fast path
-below possible.
+score computed independently.  So each hidden sensor is one call of the
+impute estimator, over the rows it is scored on, with that sensor cleared
+from their observations.
 """
 
 from __future__ import annotations
@@ -22,22 +23,22 @@ from .estimators import (
     EstimatorConfig,
     Panel,
     Provenance,
-    _WeightedRowImputer,
     geo_distance_matrix,
-    instantaneous_similarity,
+    make_estimator,
     revealed_similarity_rows,
-    static_embedding_distances,
 )
 from .graph import FarmGraph, FarmLayout, build_graph, propose_grid_edges
-from .kernels import kernel_weight_rows
 from .online import track_sequence
-from .spectral import batch_rows
 
 SETUPS = ("complete", "incomplete")
 
 
 def thread_cap() -> int:
-    """Worker cap for config sweeps, from SPECTRAL_IMPUTER_THREADS if set."""
+    """Worker cap for config sweeps.
+
+    SPECTRAL_IMPUTER_THREADS if set, else the CPUs this process may run
+    on (its affinity mask, where the platform reports one).
+    """
     raw = os.environ.get("SPECTRAL_IMPUTER_THREADS", "").strip()
     if raw:
         try:
@@ -49,6 +50,8 @@ def thread_cap() -> int:
         if cap < 1:
             raise ConfigError("SPECTRAL_IMPUTER_THREADS must be >= 1")
         return cap
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
 
 
@@ -114,73 +117,6 @@ def scorable_rows(
     if within is not None:
         ok = ok & np.asarray(within, dtype=bool)
     return np.flatnonzero(ok)
-
-
-# ---------------------------------------------------------------------------
-# Per-sensor scorers.  Each returns estimates aligned with `rows` plus a
-# tally of provenance labels for the non-plain estimates it produced.
-
-
-def _fixed_distance_estimates(panel, dist, kind, col, rows):
-    """Scores for methods whose inter-sensor distances do not change by row.
-
-    `dist` is the (N, N) distance matrix, or None for the plain
-    equal-weight mean over observed sensors.
-    """
-    obs = panel.mask[rows].copy()
-    obs[:, col] = False
-    vals = np.where(panel.mask, panel.values, 0.0)[rows]
-    tally: dict[str, int] = {}
-    if dist is None:
-        counts = obs.sum(axis=1)
-        estimates = (vals * obs).sum(axis=1) / counts
-        return estimates, tally
-    weights, fallback = kernel_weight_rows(
-        kind, np.broadcast_to(dist[col], (rows.size, panel.n_sensors)), obs
-    )
-    n_fb = int(fallback.sum())
-    if n_fb:
-        tally[Provenance.UNIFORM_FALLBACK.label] = n_fb
-    tally[Provenance.WEIGHTED_KNN.label] = rows.size - n_fb
-    estimates = (weights * vals).sum(axis=1)
-    return estimates, tally
-
-
-def _weighted_estimates(panel, graph, config, col, rows, guesses, worker):
-    """Scores for the time-varying graph method at one hidden sensor.
-
-    Rows are routed exactly as the streaming imputer routes them: rows
-    whose similarity weights all clear the floor share batched
-    eigendecompositions, and the rest, such as rows where an edge drops
-    out and splits the graph, go one at a time through the per-component
-    path.
-    """
-    ei, ej = graph.edge_index_arrays()
-    hidden = (ei == col) | (ej == col)
-    sims = instantaneous_similarity(panel.values[rows][:, ei], panel.values[rows][:, ej])
-    both = panel.mask[rows][:, ei] & panel.mask[rows][:, ej] & ~hidden
-    w = np.where(both, sims, guesses[rows])
-    obs = panel.mask[rows].copy()
-    obs[:, col] = False
-    vals = np.where(obs, panel.values[rows], np.nan)
-
-    estimates = np.empty(rows.size)
-    codes = np.empty(rows.size, dtype=np.int8)
-    fast = worker.batchable(obs, w)
-    fast_idx = np.flatnonzero(fast)
-    step = batch_rows(panel.n_sensors)
-    for start in range(0, fast_idx.size, step):
-        sel = fast_idx[start : start + step]
-        est, code = worker.impute_rows(vals[sel], obs[sel], w[sel])
-        estimates[sel] = est[:, col]
-        codes[sel] = code[:, col]
-    for b in np.flatnonzero(~fast):
-        est, code = worker.impute_row(vals[b], obs[b], w[b])
-        estimates[b] = est[col]
-        codes[b] = code[col]
-    counts = np.bincount(codes, minlength=len(Provenance))
-    tally = {p.label: int(counts[p]) for p in Provenance if counts[p]}
-    return estimates, tally
 
 
 # ---------------------------------------------------------------------------
@@ -304,56 +240,41 @@ def leave_one_out_eval(
     if n < 2:
         raise InputError("leave-one-out evaluation needs at least two sensors")
 
-    dist = None
-    worker = None
+    estimator = make_estimator(config, panel.sensor_ids, layout, graph)
+    baseline_estimator = make_estimator(EstimatorConfig("naive"), panel.sensor_ids)
     guesses = None
-    if config.method == "location":
-        if layout is None:
-            raise ConfigError("method 'location' needs a farm layout")
-        if panel.sensor_ids != layout.ids:
-            raise InputError("panel sensors do not match the layout")
-        dist = geo_distance_matrix(layout)
-    elif config.method == "unweighted_graph":
-        if graph is None:
-            raise ConfigError("method 'unweighted_graph' needs a sensor graph")
-        if panel.sensor_ids != graph.node_ids:
-            raise InputError("panel sensors do not match the graph")
-        dist = static_embedding_distances(graph, config.r)
-    elif config.method == "weighted_graph":
-        if graph is None:
-            raise ConfigError("method 'weighted_graph' needs a sensor graph")
-        if panel.sensor_ids != graph.node_ids:
-            raise InputError("panel sensors do not match the graph")
-        worker = _WeightedRowImputer(graph, config.kernel, config.r, config.weight_floor)
+    if config.method == "weighted_graph":
         guesses, _ = track_sequence(
             revealed_similarity_rows(panel, graph), config.learning_rate
         )
+    values = np.where(panel.mask, panel.values, 0.0)
 
     per_rmse = np.full(n, np.nan)
     per_naive = np.full(n, np.nan)
     counts = np.zeros(n, dtype=int)
-    fallback_counts: dict[str, int] = {}
+    tags = np.zeros(len(Provenance), dtype=int)
     for col in range(n):
         rows = scorable_rows(panel.mask, col, setup, within)
         counts[col] = rows.size
         if rows.size == 0:
             continue
+        # Each scorable row is the impute estimator's input with one more
+        # hole: `col` hidden from `obs`; its truth stays in `values`,
+        # which the estimators ignore wherever `obs` is False.
+        obs = panel.mask[rows]
+        obs[:, col] = False
+        cells = (values[rows], obs, np.arange(rows.size), col)
+        baseline, _ = baseline_estimator.estimate(*cells)
+        estimates = baseline
+        # The plain mean weights nothing, so naive reports no fallback counts.
+        if config.method != "naive":
+            row_guesses = None if guesses is None else guesses[rows]
+            estimates, codes = estimator.estimate(*cells, row_guesses)
+            tags += np.bincount(codes, minlength=len(Provenance))
         truth = panel.values[rows, col]
-        baseline, tally = _fixed_distance_estimates(panel, None, "naive", col, rows)
-        if config.method == "naive":
-            estimates = baseline
-        elif config.method == "weighted_graph":
-            estimates, tally = _weighted_estimates(
-                panel, graph, config, col, rows, guesses, worker
-            )
-        else:
-            estimates, tally = _fixed_distance_estimates(
-                panel, dist, config.kernel, col, rows
-            )
         per_rmse[col] = rmse(truth, estimates)
         per_naive[col] = rmse(truth, baseline)
-        for label, count in tally.items():
-            fallback_counts[label] = fallback_counts.get(label, 0) + count
+    fallback_counts = {p.label: int(tags[p]) for p in Provenance if tags[p]}
     return EvalReport(
         method=config.method,
         kernel=config.kernel,
@@ -441,7 +362,7 @@ class MissingnessSpec:
             )
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError("missingness rate must lie in [0, 1)")
-        if self.block_mean < 1.0:
+        if not self.block_mean >= 1.0:
             raise ConfigError("mean outage length must be >= 1")
 
 
@@ -492,7 +413,7 @@ def synth_panel(
     """
     if t_len < 1:
         raise InputError("panel length must be >= 1")
-    if spatial_scale <= 0:
+    if not spatial_scale > 0:
         raise ConfigError("spatial scale must be > 0")
     if not 0.0 <= temporal_persistence < 1.0:
         raise ConfigError("temporal persistence must lie in [0, 1)")

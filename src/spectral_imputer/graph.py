@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConfigError, InputError
 
 
 @dataclass(frozen=True)
@@ -252,6 +252,8 @@ class ComponentPartition:
 
 def components(graph: FarmGraph, weight_floor: float = 0.0) -> ComponentPartition:
     """Partition nodes into components; edges with weight <= floor are absent."""
+    if not weight_floor >= 0:
+        raise ConfigError("weight floor must be >= 0")
     ei, ej = graph.edge_index_arrays()
     w = graph.weight_array()
     keep = w > weight_floor

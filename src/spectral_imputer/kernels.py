@@ -64,27 +64,6 @@ _KERNELS = {
 KERNEL_NAMES = tuple(_KERNELS)
 
 
-def kernel_eval(kind: str, u):
-    """Evaluate kernel `kind` at scaled distance(s) u >= 0.
-
-    Accepts a scalar or an array; returns the same shape.
-
-    Raises:
-        InputError: on an unknown kernel or a negative/non-finite u.
-    """
-    if kind not in _KERNELS:
-        raise InputError(
-            f"unknown kernel {kind!r}; choose from {', '.join(KERNEL_NAMES)}"
-        )
-    arr = np.asarray(u, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr < 0):
-        raise InputError("kernel argument must be finite and >= 0")
-    out = _KERNELS[kind](arr)
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class WeightVector:
     """Normalized neighbor weights for one imputation.
@@ -97,37 +76,6 @@ class WeightVector:
     fallback_used: bool
 
 
-def nadaraya_watson_weights(kind: str, distances: dict[str, float]) -> WeightVector:
-    """Kernel weights over neighbors at the given distances.
-
-    The bandwidth is the largest neighbor distance, so the furthest
-    neighbor sits exactly on the support boundary.  If every kernel value
-    vanishes (all-zero distances included), weights fall back to uniform.
-
-    Raises:
-        NoNeighborsError: on an empty neighbor set.
-        InputError: on negative or non-finite distances.
-    """
-    if not distances:
-        raise NoNeighborsError("no neighbors to weight")
-    ids = list(distances)
-    d = np.array([distances[i] for i in ids], dtype=float)
-    if np.any(~np.isfinite(d)) or np.any(d < 0):
-        raise InputError("distances must be finite and >= 0")
-    h = float(d.max())
-    if h <= 0.0:
-        w = np.full(len(ids), 1.0 / len(ids))
-        return WeightVector(dict(zip(ids, w.tolist())), True)
-    k = kernel_eval(kind, d / h)
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    total = float(k.sum())
-    if total < KERNEL_SUM_FLOOR:
-        w = np.full(len(ids), 1.0 / len(ids))
-        return WeightVector(dict(zip(ids, w.tolist())), True)
-    w = k / total
-    return WeightVector(dict(zip(ids, w.tolist())), False)
-
-
 def kernel_weight_rows(kind: str, dist: np.ndarray, obs: np.ndarray):
     """Vectorized neighbor weights for a batch of imputations.
 
@@ -135,6 +83,8 @@ def kernel_weight_rows(kind: str, dist: np.ndarray, obs: np.ndarray):
         kind: kernel name.
         dist: (B, N) nonnegative distances from each row's target to every
             candidate neighbor; entries where `obs` is False are ignored.
+            An observed NaN or infinity, or a row whose observed distances
+            are all negative, is rejected.
         obs: (B, N) boolean neighbor availability; each row needs >= 1
             True entry.
 
@@ -142,6 +92,10 @@ def kernel_weight_rows(kind: str, dist: np.ndarray, obs: np.ndarray):
         (weights, fallback): (B, N) weights summing to 1 over each row's
         observed entries (0 elsewhere), and a (B,) bool flag marking rows
         that fell back to uniform weights.
+
+    Raises:
+        InputError: on an unknown kernel or a rejected distance.
+        NoNeighborsError: if a row has no observed entry.
     """
     if kind not in _KERNELS:
         raise InputError(
@@ -149,15 +103,16 @@ def kernel_weight_rows(kind: str, dist: np.ndarray, obs: np.ndarray):
         )
     dist = np.asarray(dist, dtype=float)
     obs = np.asarray(obs, dtype=bool)
-    counts = obs.sum(axis=1)
-    if np.any(counts == 0):
+    if not obs.any(axis=1).all():
         raise NoNeighborsError("a batch row has no observed neighbors")
     h = np.where(obs, dist, -np.inf).max(axis=1)
+    if not np.all((h >= 0) & (h < np.inf)):
+        raise InputError("distances must be finite and >= 0")
     safe_h = np.where(h > 0, h, 1.0)
     k = _KERNELS[kind](dist / safe_h[:, None]) * obs
     total = k.sum(axis=1)
     fallback = (h <= 0) | (total < KERNEL_SUM_FLOOR)
-    uniform = obs / counts[:, None]
-    safe_total = np.where(fallback, 1.0, total)
-    weights = np.where(fallback[:, None], uniform, k / safe_total[:, None])
+    weights = k / np.where(fallback, 1.0, total)[:, None]
+    uniform = obs[fallback]
+    weights[fallback] = uniform / uniform.sum(axis=1)[:, None]
     return weights, fallback

@@ -1,5 +1,7 @@
 """Leave-one-out evaluation, synthetic panels, and missingness."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -405,6 +407,17 @@ def test_thread_cap_env_parsing(monkeypatch):
         thread_cap()
     monkeypatch.delenv("SPECTRAL_IMPUTER_THREADS")
     assert thread_cap() >= 1
+
+
+def test_thread_cap_follows_cpu_affinity(monkeypatch):
+    monkeypatch.delenv("SPECTRAL_IMPUTER_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert thread_cap() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert thread_cap() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert thread_cap() == 1
 
 
 def test_split_rows_partitions():

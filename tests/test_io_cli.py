@@ -829,6 +829,54 @@ def test_cli_simulate_deterministic(tmp_path):
     assert open(a_masked, "rb").read() == open(b_masked, "rb").read()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mechanism", "block", "--block-mean", "nan"], "outage length"),
+        (["--spatial-scale", "nan"], "spatial scale"),
+    ],
+)
+def test_cli_simulate_rejects_nan_settings(tmp_path, capsys, flags, message):
+    layout_csv = _layout_file(tmp_path)
+    out = tmp_path / "sim"
+    rc = main(
+        ["simulate", "--layout", layout_csv, "--t-len", "20", "--spatial-scale", "1.5",
+         "--persistence", "0.6", *flags, "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and message in err
+    assert "\n" not in err
+
+
+def test_cli_graph_rejects_nan_weight_floor(tmp_path, capsys):
+    layout_csv = _layout_file(tmp_path)
+    rc = main(
+        ["graph", "--layout", layout_csv, "--propose", "king", "--weight-floor", "nan",
+         "--out", str(tmp_path / "g")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "weight floor" in err
+    assert "\n" not in err
+
+
+def test_cli_impute_rejects_nan_weight_floor(tmp_path, capsys):
+    layout_csv = _layout_file(tmp_path)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    out = tmp_path / "imp"
+    rc = main(
+        ["impute", "--layout", layout_csv, "--edges", edges, "--panel", masked_csv,
+         "--method", "weighted_graph", "--weight-floor", "nan", "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ") and "weight floor" in err
+    assert "\n" not in err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_cli_regret_curve(tmp_path):
     layout_csv = _layout_file(tmp_path)
     edges = _graph_files(tmp_path, layout_csv)
