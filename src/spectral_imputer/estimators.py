@@ -27,18 +27,15 @@ from enum import IntEnum
 
 import numpy as np
 
-from . import spectral
 from .errors import ConfigError, InputError
 from .graph import FarmGraph, FarmLayout, component_labels, components
 from .kernels import KERNEL_NAMES, WeightVector, kernel_weight_rows
 from .online import SimilarityTracker
 from .spectral import (
-    _spectrum_for_adjacency,
     batch_rows,
     batched_coordinates,
-    embed,
+    component_coordinates,
     target_distances,
-    widen_to_degenerate_group,
 )
 
 METHODS = ("naive", "location", "unweighted_graph", "weighted_graph")
@@ -228,8 +225,8 @@ def static_embedding_distances(graph: FarmGraph, r: int) -> np.ndarray:
         # Too small to embed; zero distances make every neighbor equal,
         # which the kernel stage resolves with uniform weights.
         return np.zeros((graph.n, graph.n))
-    emb = embed(graph, part, r)[0]
-    coords = np.stack([emb.coordinates[s] for s in graph.node_ids])
+    ei, ej = graph.edge_index_arrays()
+    coords = batched_coordinates(graph.weight_array()[None], ei, ej, graph.n, r)[0]
     diff = coords[:, None, :] - coords[None, :, :]
     return np.sqrt((diff**2).sum(axis=2))
 
@@ -307,9 +304,10 @@ class _WeightedRowImputer:
 
     Holds everything that is constant across rows: topology, kernel,
     dimension, weight floor, and the static-graph distances used when a
-    sensor ends up outside any embeddable component.  `estimate` routes
-    rows between one batched eigendecomposition and `impute_row`, which
-    handles one row whatever its graph.
+    sensor ends up outside any embeddable component.  `estimate` embeds
+    the rows whose graph is whole in one `batched_coordinates` call, and
+    sends the rest to `impute_row`, which handles one row whatever its
+    graph.
     """
 
     def __init__(self, graph: FarmGraph, kind: str, r: int, weight_floor: float):
@@ -325,50 +323,39 @@ class _WeightedRowImputer:
         return _edge_similarities(values, obs, self.ei, self.ej, guesses)
 
     def batchable(self, obs, edge_weights) -> np.ndarray:
-        """(B,) bool: rows embedded in one batch, the rest by `impute_row`.
+        """(B,) bool: rows embedded together, the rest by `impute_row`.
 
         A row qualifies when it has an observed sensor and every edge
-        weight clears the floor, on a farm of 3 to DENSE_SOLVER_MAX
-        sensors.  With every edge live the row's graph is the static
-        graph, which is connected, so one batched eigendecomposition
-        embeds them all.  Smaller farms copy a lone neighbor, and larger
-        ones embed each row with the iterative solver.
+        weight clears the floor, on a farm of at least 3 sensors.  With
+        every edge live the row's graph is the static graph, which is
+        connected, so one `batched_coordinates` call embeds them all,
+        whatever the farm size; it alone picks the solver.  Farms under 3
+        sensors copy a lone neighbor instead.
         """
-        if not 3 <= self.n <= spectral.DENSE_SOLVER_MAX:
+        if self.n < 3:
             return np.zeros(len(obs), dtype=bool)
         return obs.any(axis=1) & (edge_weights > self.weight_floor).all(axis=1)
 
     def estimate(self, values, obs, rows, targets, guesses):
-        """Batchable rows share eigendecompositions, the rest take `impute_row`."""
+        """Batchable rows share one embedding call, the rest take `impute_row`."""
         targets = np.broadcast_to(targets, rows.shape)
         weights = self.edge_weights(values, obs, guesses)
-        wanted = np.zeros(len(obs), dtype=bool)
-        wanted[rows] = True
-        fast = wanted & self.batchable(obs, weights)
+        fast = self.batchable(obs, weights)[rows]
         estimates = np.empty(rows.size)
         codes = np.empty(rows.size, dtype=np.int8)
-        # Position of each cell's row among the batchable rows, else -1.
-        batch = np.flatnonzero(fast)
-        pos = np.where(fast[rows], np.cumsum(fast)[rows] - 1, -1)
-        step = batch_rows(self.n)
-        for start in range(0, batch.size, step):
-            w = weights[batch[start : start + step]]
-            coords = batched_coordinates(w, self.ei, self.ej, self.n, self.r)
-            cells = np.flatnonzero((pos >= start) & (pos < start + step))
-            dist = target_distances(coords[pos[cells] - start], targets[cells])
-            at = rows[cells]
-            estimates[cells], codes[cells] = _kernel_fill(
-                self.kind, dist, values[at], obs[at]
-            )
-        cells = np.flatnonzero(pos < 0)
-        slow = np.unique(rows[cells])
+        batch = np.unique(rows[fast])
+        coords = batched_coordinates(weights[batch], self.ei, self.ej, self.n, self.r)
+        at = rows[fast]
+        dist = target_distances(coords[np.searchsorted(batch, at)], targets[fast])
+        estimates[fast], codes[fast] = _kernel_fill(self.kind, dist, values[at], obs[at])
+        slow = np.unique(rows[~fast])
         row_estimates = np.empty((slow.size, self.n))
         row_codes = np.empty((slow.size, self.n), dtype=np.int8)
         for k, b in enumerate(slow):
             row_estimates[k], row_codes[k] = self.impute_row(values[b], obs[b], weights[b])
-        k = np.searchsorted(slow, rows[cells])
-        estimates[cells] = row_estimates[k, targets[cells]]
-        codes[cells] = row_codes[k, targets[cells]]
+        k = np.searchsorted(slow, rows[~fast])
+        estimates[~fast] = row_estimates[k, targets[~fast]]
+        codes[~fast] = row_codes[k, targets[~fast]]
         return estimates, codes
 
     def impute_row(self, values_row, obs_row, edge_weights):
@@ -396,28 +383,15 @@ class _WeightedRowImputer:
             codes[missing] = int(Provenance.UNIMPUTABLE)
             return estimates, codes
         keep = edge_weights > self.weight_floor
-        if keep.all():
-            # Every edge is live, so the row's graph is the static graph,
-            # which is connected: one component, no union-find needed.
-            ei_k, ej_k, w_k = self.ei, self.ej, edge_weights
-            labels = np.zeros(n, dtype=int)
-        else:
-            ei_k, ej_k, w_k = self.ei[keep], self.ej[keep], edge_weights[keep]
-            labels = component_labels(n, ei_k, ej_k)
-        a_full = np.zeros((n, n))
-        a_full[ei_k, ej_k] = w_k
-        a_full[ej_k, ei_k] = w_k
+        ei_k, ej_k, w_k = self.ei[keep], self.ej[keep], edge_weights[keep]
+        labels = component_labels(n, ei_k, ej_k)
         vals = np.where(obs_row, values_row, 0.0)
         for comp in np.unique(labels[missing]):
             members = np.flatnonzero(labels == comp)
             inside = obs_row[members]
             miss, obs = members[~inside], members[inside]
             if members.size >= 3 and obs.size > 0:
-                a_sub = a_full[np.ix_(members, members)]
-                r_base = min(self.r, members.size - 1)
-                eigenvalues, vectors = _spectrum_for_adjacency(a_sub, r_base)
-                r_eff = widen_to_degenerate_group(eigenvalues, r_base)
-                coords = vectors[:, 1 : r_eff + 1]
+                coords = component_coordinates(w_k, ei_k, ej_k, labels == comp, self.r)
                 d = np.linalg.norm(coords[inside] - coords[~inside][:, None], axis=2)
                 estimates[miss], codes[miss] = _kernel_fill(
                     self.kind, d, np.broadcast_to(vals[obs], d.shape), np.ones(d.shape, bool)
@@ -528,18 +502,6 @@ def impute_naive(panel: Panel) -> ImputationResult:
     return run_estimator(panel, EstimatorConfig("naive"))
 
 
-def impute_location(panel: Panel, layout: FarmLayout, kind: str = "triweight") -> ImputationResult:
-    """Kernel weights from geographic distances."""
-    return run_estimator(panel, EstimatorConfig("location", kind), layout=layout)
-
-
-def impute_unweighted_graph(
-    panel: Panel, graph: FarmGraph, kind: str = "triweight", r: int = 2
-) -> ImputationResult:
-    """Kernel weights from the fixed graph's embedding distances."""
-    return run_estimator(panel, EstimatorConfig("unweighted_graph", kind, r), graph=graph)
-
-
 def revealed_similarity_rows(panel: Panel, graph: FarmGraph) -> np.ndarray:
     """(T, E) edge similarities where both endpoints are observed, else NaN."""
     ei, ej = graph.edge_index_arrays()
@@ -562,9 +524,9 @@ def impute_weighted_graph(
     before that row.  The guess sequence does not depend on the estimates,
     so rows are taken in blocks: the tracker is replayed over a block
     first, then every holed row of it whose edges all clear `weight_floor`
-    is embedded in one batched eigendecomposition.  Rows where an edge
-    drops out, and farms under 3 or over `DENSE_SOLVER_MAX` sensors, go
-    one row at a time through the per-component path.
+    is embedded in one `batched_coordinates` call.  Rows where an edge
+    drops out, and farms under 3 sensors, go one row at a time through
+    the per-component path.
 
     Args:
         tracker: state to continue from; a fresh one (rate `eta`) is made

@@ -129,7 +129,8 @@ class EvalReport:
 
     Per-sensor arrays are aligned with `sensor_ids`; sensors with no
     scorable rows under the setup carry NaN scores and are left out of
-    the aggregates.  The equal-weight mean baseline is scored on exactly
+    the aggregates, which raise `UndefinedScoreError` when no sensor was
+    scored at all.  The equal-weight mean baseline is scored on exactly
     the same hidden cells, so improvements compare like with like.
     """
 
@@ -154,6 +155,8 @@ class EvalReport:
         return np.where(self.naive_rmse == 0.0, 0.0, imp)
 
     def _scored(self, values: np.ndarray) -> np.ndarray:
+        if not self.scored_counts.any():
+            raise UndefinedScoreError(f"no cell is scorable under setup {self.setup!r}")
         return values[~np.isnan(values)]
 
     @property
@@ -312,23 +315,12 @@ def sweep(
                 f"unknown setup {setup!r}; choose from {', '.join(SETUPS)}"
             )
     jobs = [(config, setup) for config in configs for setup in setups]
-    cap = min(thread_cap(), len(jobs)) or 1
-    if cap == 1:
-        reports = [
-            leave_one_out_eval(panel, config, setup, layout, graph, within)
-            for config, setup in jobs
-        ]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            futures = [
-                pool.submit(
-                    leave_one_out_eval, panel, config, setup, layout, graph, within
-                )
-                for config, setup in jobs
-            ]
-            reports = [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(jobs)) or 1) as pool:
+        reports = list(
+            pool.map(lambda job: leave_one_out_eval(panel, *job, layout, graph, within), jobs)
+        )
     order = sorted(
         range(len(reports)), key=lambda k: (-reports[k].mean_improvement, k)
     )
@@ -417,6 +409,9 @@ def synth_panel(
         raise ConfigError("spatial scale must be > 0")
     if not 0.0 <= temporal_persistence < 1.0:
         raise ConfigError("temporal persistence must lie in [0, 1)")
+    for name, scale in (("driver", driver_scale), ("noise", noise_scale)):
+        if not 0.0 <= scale < np.inf:
+            raise ConfigError(f"{name} scale must be finite and >= 0")
     rng = np.random.default_rng(seed)
     n = layout.n
     d = geo_distance_matrix(layout)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateDegreeError, InputError
-from .graph import ComponentPartition, FarmGraph, adjacency
+from .graph import ComponentPartition, FarmGraph
 
 # Full dense spectrum up to this many nodes; iterative partial solves beyond.
 DENSE_SOLVER_MAX = 200
@@ -99,16 +99,16 @@ def solve_generalized(L, D) -> EigenSolution:
     return EigenSolution(eigenvalues, vectors)
 
 
-def widen_to_degenerate_group(eigenvalues, k, tol=DEGENERACY_TOL) -> int:
+def widen_to_degenerate_group(eigenvalues, k, tol=DEGENERACY_TOL):
     """Smallest k' >= k such that eigenvectors 1..k' cover whole groups.
 
     `k` counts embedding dimensions, i.e. eigenvector indices 1..k are in
     use; the group containing index k is extended until a gap > tol.
+    Eigenvalues ascend along the last axis; any leading axes are a batch,
+    and the result has their shape.
     """
-    m = len(eigenvalues)
-    while k + 1 < m and eigenvalues[k + 1] - eigenvalues[k] <= tol:
-        k += 1
-    return k
+    chained = np.diff(np.asarray(eigenvalues)[..., k:], axis=-1) <= tol
+    return k + np.cumprod(chained, axis=-1).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -148,17 +148,18 @@ def batch_rows(n: int) -> int:
 
 
 def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
-    """Embedding coordinates of many weightings of one connected edge set.
+    """Embedding coordinates of many weightings of one edge set.
 
-    Every weight must be strictly positive, so each row of `weights` is one
-    connected graph over all n nodes and the whole batch reduces to a single
-    batched symmetric eigendecomposition.  Each row's dimension is widened
-    to its degenerate group exactly as `embed` widens it.
+    The one place edge weights become coordinates.  Up to
+    DENSE_SOLVER_MAX nodes, `batch_rows(n)` graphs share each batched
+    dense eigendecomposition; above it, each graph gets its own iterative
+    partial solve.  Each graph's dimension is widened to its degenerate
+    group.
 
     Args:
-        weights: (B, E) edge weights, all > 0.
-        ei, ej: (E,) endpoint indices of the edges, which connect all n
-            nodes.
+        weights: (B, E) edge weights, B >= 0, all >= 0; in every row the
+            edges of positive weight connect all n nodes.
+        ei, ej: (E,) endpoint indices of the edges.
         n: node count, >= 2.
         r: requested embedding dimension, >= 1.
 
@@ -167,22 +168,71 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
         batch; a row's columns beyond its own effective dimension are zero,
         so distances over all k columns are distances in its own embedding.
     """
+    if n > DENSE_SOLVER_MAX:
+        parts = [_iterative_coordinates(w, ei, ej, n, r) for w in weights]
+    else:
+        step = batch_rows(n)
+        parts = [
+            _dense_coordinates(weights[start : start + step], ei, ej, n, r)
+            for start in range(0, len(weights), step)
+        ]
+    k = max((part.shape[2] for part in parts), default=0)
+    padded = [np.pad(part, ((0, 0), (0, 0), (0, k - part.shape[2]))) for part in parts]
+    return np.concatenate(padded) if padded else np.zeros((0, n, 0))
+
+
+def _reduced_laplacians(weights, ei, ej, n: int):
+    """(B, n, n) stack I - S A S and its (B, n) S = D^(-1/2), per weighting."""
     a = np.zeros((weights.shape[0], n, n))
     a[:, ei, ej] = weights
     a[:, ej, ei] = weights
     s = 1.0 / np.sqrt(a.sum(axis=2))
-    # I - S A S, exactly symmetric because s_i * s_j == s_j * s_i.
+    # Exactly symmetric because s_i * s_j == s_j * s_i.
     a *= s[:, :, None] * s[:, None, :]
     np.negative(a, out=a)
     idx = np.arange(n)
     a[:, idx, idx] = 1.0
-    eigenvalues, u = np.linalg.eigh(a)
-    base = min(r, n - 1)
-    chained = np.diff(eigenvalues[:, base:], axis=1) <= DEGENERACY_TOL
-    r_eff = base + np.cumprod(chained, axis=1).sum(axis=1)
+    return a, s
+
+
+def _coordinates(eigenvalues, u, s, r: int) -> np.ndarray:
+    """Columns 1..r_eff of S u per graph, zero-padded to the largest r_eff."""
+    r_eff = widen_to_degenerate_group(eigenvalues, min(r, s.shape[1] - 1))
     k = int(r_eff.max())
-    live = np.arange(k)[None, None, :] < r_eff[:, None, None]
+    live = np.arange(k) < r_eff[:, None, None]
     return np.where(live, u[:, :, 1 : k + 1] * s[:, :, None], 0.0)
+
+
+def _dense_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
+    """(B, n, k) coordinates from one batched full eigendecomposition."""
+    a, s = _reduced_laplacians(weights, ei, ej, n)
+    return _coordinates(*np.linalg.eigh(a), s, r)
+
+
+def _iterative_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
+    """(1, n, k) coordinates of one graph from a shift-inverted partial solve.
+
+    Fetches a few pairs past the requested dimension, and more until the
+    widened group's boundary sits strictly inside what was fetched; a
+    group that runs past what the solver can expose is settled densely.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import eigsh
+
+    a, s = _reduced_laplacians(weights[None], ei, ej, n)
+    sparse = csr_matrix(a[0])
+    v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start keeps runs reproducible
+    need = min(r, n - 1)
+    k = min(n - 1, need + 2)
+    while True:
+        vals, u = eigsh(sparse, k=k, sigma=-0.01, which="LM", v0=v0)
+        order = np.argsort(vals)
+        vals, u = vals[order], u[:, order]
+        if widen_to_degenerate_group(vals, min(need, k - 1)) + 1 < k:
+            return _coordinates(vals[None], u[None], s, r)
+        if k >= n - 1:
+            return _dense_coordinates(weights[None], ei, ej, n, r)
+        k = min(n - 1, k * 2)
 
 
 def target_distances(coords: np.ndarray, targets) -> np.ndarray:
@@ -199,48 +249,17 @@ def target_distances(coords: np.ndarray, targets) -> np.ndarray:
     return np.sqrt(d2)
 
 
-def _component_submatrix(graph, members, weight_floor):
-    a = adjacency(graph)[np.ix_(members, members)]
-    a[a <= weight_floor] = 0.0
-    return a
+def component_coordinates(weights, ei, ej, inside, r: int) -> np.ndarray:
+    """(m, k) coordinates of the m nodes where `inside` holds, embedded alone.
 
-
-def _spectrum_for_adjacency(a: np.ndarray, need: int):
-    """(eigenvalues, vectors) with at least `need`+1 leading pairs valid.
-
-    Dense full solve up to DENSE_SOLVER_MAX nodes; a shift-inverted
-    iterative solve beyond, fetching enough extra pairs to expose the gap
-    after the last requested eigenvector.
+    `inside` must mark one connected component of the given edges; they
+    are renumbered to its nodes in ascending order, and the rest dropped.
     """
-    m = a.shape[0]
-    degrees = a.sum(axis=0)
-    if m <= DENSE_SOLVER_MAX:
-        sol = solve_generalized(np.diag(degrees) - a, degrees)
-        return sol.eigenvalues, sol.vectors
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import eigsh
-
-    d = _degree_vector(degrees)
-    s = 1.0 / np.sqrt(d)
-    reduced = s[:, None] * (np.diag(d) - a) * s[None, :]
-    reduced = (reduced + reduced.T) / 2.0
-    sparse = csr_matrix(reduced)
-    v0 = np.full(m, 1.0 / np.sqrt(m))  # fixed start keeps runs reproducible
-    k = min(m - 1, need + 2)
-    while True:
-        vals, u = eigsh(sparse, k=k, sigma=-0.01, which="LM", v0=v0)
-        order = np.argsort(vals)
-        vals, u = vals[order], u[:, order]
-        # Enough if the widened group boundary sits strictly inside what
-        # was fetched; otherwise fetch more and retry.
-        boundary = widen_to_degenerate_group(vals, min(need, k - 1))
-        if boundary + 1 < k:
-            return vals, _fix_signs(s[:, None] * u)
-        if k >= m - 1:
-            # Group runs past what eigsh can expose; settle it densely.
-            sol = solve_generalized(np.diag(d) - a, d)
-            return sol.eigenvalues, sol.vectors
-        k = min(m - 1, k * 2)
+    here = inside[ei]
+    local = np.cumsum(inside) - 1
+    return batched_coordinates(
+        weights[None, here], local[ei[here]], local[ej[here]], int(inside.sum()), r
+    )[0]
 
 
 def embed(graph: FarmGraph, partition: ComponentPartition, r: int) -> list[Embedding]:
@@ -253,7 +272,7 @@ def embed(graph: FarmGraph, partition: ComponentPartition, r: int) -> list[Embed
     Args:
         graph: weighted or unweighted sensor graph.
         partition: its components; the partition's weight floor decides
-            which edges enter each component's submatrix.
+            which edges enter each component's embedding.
         r: requested embedding dimension, >= 1.
 
     Raises:
@@ -261,17 +280,18 @@ def embed(graph: FarmGraph, partition: ComponentPartition, r: int) -> list[Embed
     """
     if r < 1:
         raise ConfigError(f"embedding dimension must be >= 1, got {r}")
+    ei, ej = graph.edge_index_arrays()
+    weights = graph.weight_array()
+    live = weights > partition.weight_floor
+    labels = np.asarray(partition.labels, dtype=int)
     out = []
     for comp in range(partition.count):
-        members = partition.members(comp)
-        m = len(members)
-        if m < 3:
+        members = np.flatnonzero(labels == comp)
+        if members.size < 3:
             continue
-        a = _component_submatrix(graph, members, partition.weight_floor)
-        r_base = min(r, m - 1)
-        eigenvalues, vectors = _spectrum_for_adjacency(a, r_base)
-        r_eff = widen_to_degenerate_group(eigenvalues, r_base)
-        coords = vectors[:, 1 : r_eff + 1]
+        coords = _fix_signs(
+            component_coordinates(weights[live], ei[live], ej[live], labels == comp, r)
+        )
         out.append(
             Embedding(
                 coordinates={
@@ -279,7 +299,7 @@ def embed(graph: FarmGraph, partition: ComponentPartition, r: int) -> list[Embed
                     for row, node in enumerate(members)
                 },
                 r_requested=r,
-                r_eff=r_eff,
+                r_eff=coords.shape[1],
                 component_index=comp,
             )
         )

@@ -11,10 +11,8 @@ from spectral_imputer.estimators import (
     Panel,
     Provenance,
     _WeightedRowImputer,
-    impute_location,
     impute_naive,
     impute_sampling,
-    impute_unweighted_graph,
     impute_weighted_graph,
     revealed_similarity_rows,
     run_estimator,
@@ -120,21 +118,21 @@ class TestLocation:
     def test_triangular_takes_nearest_neighbor(self, line3):
         layout, _ = line3
         p = make_panel([[np.nan, 0.3, 0.8]], layout.ids)
-        res = impute_location(p, layout, kind="triangular")
+        res = run_estimator(p, EstimatorConfig("location", "triangular"), layout=layout)
         # Distances (1, 2) scale to (0.5, 1): all weight on the nearer.
         assert res.filled[0, 0] == pytest.approx(0.3, abs=1e-15)
 
     def test_equidistant_neighbors_fall_back_uniform(self, line3):
         layout, _ = line3
         p = make_panel([[0.2, np.nan, 0.6]], layout.ids)
-        res = impute_location(p, layout, kind="triweight")
+        res = run_estimator(p, EstimatorConfig("location", "triweight"), layout=layout)
         assert res.filled[0, 1] == pytest.approx(0.4, abs=1e-15)
         assert res.provenance[0, 1] == int(Provenance.UNIFORM_FALLBACK)
 
     def test_gaussian_matches_direct_formula(self, line3):
         layout, _ = line3
         p = make_panel([[np.nan, 0.3, 0.8]], layout.ids)
-        res = impute_location(p, layout, kind="gaussian")
+        res = run_estimator(p, EstimatorConfig("location", "gaussian"), layout=layout)
         k1, k2 = math.exp(-0.25), math.exp(-1.0)
         expected = (k1 * 0.3 + k2 * 0.8) / (k1 + k2)
         assert res.filled[0, 0] == pytest.approx(expected, abs=1e-14)
@@ -145,7 +143,7 @@ class TestLocation:
             n = int(rng.integers(2, 8))
             layout = make_layout(rng.random((n, 2)) * 3)
             p = random_masked_panel(rng, n, int(rng.integers(2, 20)))
-            a = impute_location(p, layout, kind="naive")
+            a = run_estimator(p, EstimatorConfig("location", "naive"), layout=layout)
             b = impute_naive(p)
             both = np.isfinite(a.filled) & np.isfinite(b.filled)
             assert np.allclose(a.filled[both], b.filled[both], atol=1e-12)
@@ -155,14 +153,15 @@ class TestLocation:
         layout, _ = line3
         p = make_panel([[0.1, 0.2, 0.3]], ["x", "y", "z"])
         with pytest.raises(InputError):
-            impute_location(p, layout)
+            run_estimator(p, EstimatorConfig("location"), layout=layout)
 
 
 class TestUnweightedGraph:
     def test_triangular_takes_nearest_by_embedding(self, line3):
         layout, graph = line3
         p = make_panel([[np.nan, 0.3, 0.8]], layout.ids)
-        res = impute_unweighted_graph(p, graph, kind="triangular", r=1)
+        cfg = EstimatorConfig("unweighted_graph", "triangular", 1)
+        res = run_estimator(p, cfg, graph=graph)
         # Embedding distances from the end node are (1, 2) up to scale.
         assert res.filled[0, 0] == pytest.approx(0.3, abs=1e-12)
 
@@ -173,7 +172,8 @@ class TestUnweightedGraph:
             layout = make_layout(rng.random((n, 2)) * 3)
             graph = random_connected_graph(rng, layout, extra_edges=2)
             p = random_masked_panel(rng, n, int(rng.integers(2, 20)))
-            a = impute_unweighted_graph(p, graph, kind="naive", r=2)
+            cfg = EstimatorConfig("unweighted_graph", "naive", 2)
+            a = run_estimator(p, cfg, graph=graph)
             b = impute_naive(p)
             both = np.isfinite(a.filled) & np.isfinite(b.filled)
             assert np.allclose(a.filled[both], b.filled[both], atol=1e-12)
@@ -185,7 +185,7 @@ class TestUnweightedGraph:
         )
         p = make_panel([[0.1, 0.2, 0.3, 0.4]], layout.ids)
         with pytest.raises(ConfigError):
-            impute_unweighted_graph(p, graph)
+            run_estimator(p, EstimatorConfig("unweighted_graph"), graph=graph)
         with pytest.raises(ConfigError):
             static_embedding_distances(graph, 1)
 
@@ -199,7 +199,8 @@ class TestUnweightedGraph:
             t, col = int(rng.integers(6)), int(rng.integers(n))
             values[t, col] = np.nan
             p = make_panel(values, layout.ids)
-            res = impute_unweighted_graph(p, graph, kind="triweight", r=2)
+            cfg = EstimatorConfig("unweighted_graph", "triweight", 2)
+            res = run_estimator(p, cfg, graph=graph)
             expected = oracle_impute_cell(
                 "unweighted_graph",
                 p.values,
@@ -225,7 +226,8 @@ class TestWeightedGraph:
         values[rng.random((12, 5)) < 0.3] = np.nan
         p = make_panel(values, layout.ids)
         res_w, _ = impute_weighted_graph(p, graph, kind="triweight", r=2)
-        res_u = impute_unweighted_graph(p, graph, kind="triweight", r=2)
+        cfg = EstimatorConfig("unweighted_graph", "triweight", 2)
+        res_u = run_estimator(p, cfg, graph=graph)
         both = np.isfinite(res_w.filled) & np.isfinite(res_u.filled)
         assert np.allclose(res_w.filled[both], res_u.filled[both], atol=1e-10)
 
@@ -434,6 +436,26 @@ class TestWeightedEngineAgreement:
         layout = make_layout(rng.random((8, 2)) * 3)
         graph = random_connected_graph(rng, layout, extra_edges=6)
         self.check(random_masked_panel(rng, 8, 15), graph)
+
+    def test_large_farm_rows_skip_the_per_row_path(self, monkeypatch):
+        # Above DENSE_SOLVER_MAX a row whose edges are all live still
+        # shares the batched route; only the solver inside changes.
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", 5)
+        calls = []
+        impute_row = _WeightedRowImputer.impute_row
+
+        def spy(worker, *args):
+            calls.append(args)
+            return impute_row(worker, *args)
+
+        monkeypatch.setattr(_WeightedRowImputer, "impute_row", spy)
+        rng = np.random.default_rng(66)
+        layout = make_layout(rng.random((8, 2)) * 3)
+        graph = random_connected_graph(rng, layout, extra_edges=6)
+        panel = random_masked_panel(rng, 8, 15)
+        res, _ = impute_weighted_graph(panel, graph)
+        assert calls == []
+        assert (res.provenance == int(Provenance.WEIGHTED_KNN)).sum() > 5
 
     def test_more_holed_rows_than_one_batch(self, monkeypatch):
         n = 6

@@ -11,10 +11,9 @@ from spectral_imputer.estimators import (
     EstimatorConfig,
     Panel,
     Provenance,
-    impute_location,
     impute_naive,
-    impute_unweighted_graph,
     impute_weighted_graph,
+    run_estimator,
 )
 from spectral_imputer.evaluation import (
     MissingnessSpec,
@@ -222,12 +221,10 @@ def test_eval_matches_per_cell_estimator_runs():
                         mod = Panel(panel.timestamps, panel.sensor_ids, v, m)
                         if method == "naive":
                             out = impute_naive(mod)
-                        elif method == "location":
-                            out = impute_location(mod, layout, kind)
-                        elif method == "unweighted_graph":
-                            out = impute_unweighted_graph(mod, graph, kind, r)
-                        else:
+                        elif method == "weighted_graph":
                             out, _ = impute_weighted_graph(mod, graph, kind, r)
+                        else:
+                            out = run_estimator(mod, cfg, layout=layout, graph=graph)
                         estimates.append(out.filled[t, col])
                     truth = panel.values[rows, col]
                     direct = np.sqrt(np.mean((truth - np.asarray(estimates)) ** 2))
@@ -236,9 +233,9 @@ def test_eval_matches_per_cell_estimator_runs():
 
 @pytest.mark.parametrize("shape, dense_max", [((1, 2), 200), ((2, 3), 4)])
 def test_eval_routes_weighted_rows_as_impute_does(monkeypatch, shape, dense_max):
-    """A 2-sensor farm and a farm above DENSE_SOLVER_MAX both take the
-    per-row path in impute; evaluate must route them the same way, so
-    scores agree at 1e-10 and fallback counts tag for tag."""
+    """A 2-sensor farm takes the per-row path in impute, and a farm above
+    DENSE_SOLVER_MAX the iterative solver; evaluate must route them the
+    same way, so scores agree at 1e-10 and fallback counts tag for tag."""
     monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", dense_max)
     layout, graph = _grid_setup(*shape)
     panel = _holed_panel(layout, 12, 0.1, seed=50)
@@ -381,12 +378,13 @@ def test_sweep_sorted_and_deterministic(monkeypatch):
     imps = [rep.mean_improvement for rep in reports]
     assert imps == sorted(imps, reverse=True)
 
-    monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "2")
-    again = sweep(panel, configs, setups=("complete",), layout=layout, graph=graph)
-    assert [(r.method, r.kernel, r.setup) for r in again] == [
-        (r.method, r.kernel, r.setup) for r in reports
-    ]
-    assert [r.mean_rmse for r in again] == [r.mean_rmse for r in reports]
+    for threads in ("2", "1"):
+        monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", threads)
+        again = sweep(panel, configs, setups=("complete",), layout=layout, graph=graph)
+        assert [(r.method, r.kernel, r.setup) for r in again] == [
+            (r.method, r.kernel, r.setup) for r in reports
+        ]
+        assert [r.mean_rmse for r in again] == [r.mean_rmse for r in reports]
 
 
 def test_sweep_rejects_unknown_setup():

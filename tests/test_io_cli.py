@@ -821,6 +821,26 @@ def test_cli_sweep_outputs(tmp_path):
     assert header == "method,setup,1,2"
 
 
+@pytest.mark.parametrize(
+    "command", [["evaluate", "--method", "naive"], ["sweep", "--methods", "naive"]]
+)
+def test_cli_no_scorable_cell_single_line_error(tmp_path, capsys, command):
+    # A hole in every row leaves no complete row to score.
+    layout_csv = _layout_file(tmp_path, rows=1, cols=3)
+    panel_csv = _write(
+        tmp_path / "panel.csv",
+        "timestamp,t00,t01,t02\n0,1.0,,2.0\n1,,3.0,4.0\n2,5.0,6.0,\n",
+    )
+    out = tmp_path / "ev"
+    rc = main(
+        [*command, "--layout", layout_csv, "--panel", panel_csv, "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: no cell is scorable under setup 'complete'"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_cli_simulate_deterministic(tmp_path):
     layout_csv = _layout_file(tmp_path)
     a_masked, a_full = _simulate(tmp_path, layout_csv, out_name="s1", seed=9)
@@ -834,6 +854,10 @@ def test_cli_simulate_deterministic(tmp_path):
     [
         (["--mechanism", "block", "--block-mean", "nan"], "outage length"),
         (["--spatial-scale", "nan"], "spatial scale"),
+        (["--driver-scale", "nan"], "driver scale"),
+        (["--noise-scale", "nan"], "noise scale"),
+        (["--driver-scale", "inf"], "driver scale"),
+        (["--noise-scale", "-1"], "noise scale"),
     ],
 )
 def test_cli_simulate_rejects_nan_settings(tmp_path, capsys, flags, message):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from spectral_imputer import spectral
 from spectral_imputer.errors import (
     ConfigError,
     DegenerateDegreeError,
     InputError,
 )
-from spectral_imputer.graph import build_graph, components, laplacian
+from spectral_imputer.graph import adjacency, build_graph, components, laplacian
 from spectral_imputer.spectral import (
     DEGENERACY_TOL,
     Embedding,
@@ -160,6 +161,24 @@ class TestEmbed:
                     expected, abs=1e-9
                 )
 
+    def test_coordinates_are_sign_fixed_generalized_eigenvectors(self):
+        # Columns 1..r_eff of the full solve, in its sign convention; the
+        # floor drops the lightest edge from both.
+        rng = np.random.default_rng(5)
+        layout = make_layout(rng.random((8, 2)))
+        g = random_connected_graph(rng, layout, extra_edges=5, weighted=True)
+        floor = float(g.weight_array().min())
+        a = adjacency(g)
+        a[a <= floor] = 0.0
+        embs = embed(g, components(g, weight_floor=floor), r=2)
+        assert embs
+        for emb in embs:
+            members = [layout.ids.index(sid) for sid in emb.coordinates]
+            sub = a[np.ix_(members, members)]
+            sol = solve_generalized(np.diag(sub.sum(axis=0)) - sub, sub.sum(axis=0))
+            got = np.stack(list(emb.coordinates.values()))
+            assert np.allclose(got, sol.vectors[:, 1 : emb.r_eff + 1], atol=1e-10)
+
     def test_distance_outside_component_raises(self, path3_graph):
         emb = embed(path3_graph, components(path3_graph), r=1)[0]
         with pytest.raises(KeyError):
@@ -232,31 +251,48 @@ class TestEmbed:
             )
 
 
+def _ring4():
+    layout = make_layout([(0, 0), (0, 1), (1, 1), (1, 0)])
+    ids = layout.ids
+    return ids, build_graph(layout, [(ids[k], ids[(k + 1) % 4]) for k in range(4)])
+
+
 class TestBatchedCoordinates:
-    def test_rows_match_embed_including_widened_ones(self):
+    def test_rows_match_embed_including_widened_ones(self, monkeypatch):
         # On the uniform 4-cycle r=1 widens to the degenerate pair; on
         # the other rows it does not, so one batch mixes effective
         # dimensions and the narrow rows must ignore the extra column.
-        layout = make_layout([(0, 0), (0, 1), (1, 1), (1, 0)])
-        ids = layout.ids
-        ring = build_graph(layout, [(ids[k], ids[(k + 1) % 4]) for k in range(4)])
+        # With DENSE_SOLVER_MAX at 3 the same batch takes the iterative
+        # solver, one graph at a time, and is checked against the dense
+        # `embed`.
+        ids, ring = _ring4()
         rng = np.random.default_rng(9)
         weights = np.vstack([np.ones(4), rng.uniform(0.1, 1.0, (3, 4)), np.ones(4)])
         ei, ej = ring.edge_index_arrays()
-        for r in (1, 2, 3):
-            coords = batched_coordinates(weights, ei, ej, 4, r)
-            widths = []
-            for b, w in enumerate(weights):
-                g = ring.with_weights(w)
-                emb = embed(g, components(g), r)[0]
-                widths.append(emb.r_eff)
-                for target in range(4):
-                    got = target_distances(coords[b : b + 1], [target])[0]
-                    want = [emb.distance(ids[target], sid) for sid in ids]
-                    assert np.allclose(got, want, atol=1e-12)
-            if r == 1:
-                assert widths == [2, 1, 1, 1, 2]
-            assert coords.shape == (5, 4, max(widths))
+        for dense_max, tol in ((spectral.DENSE_SOLVER_MAX, 1e-12), (3, 1e-8)):
+            for r in (1, 2, 3):
+                with monkeypatch.context() as patched:
+                    patched.setattr(spectral, "DENSE_SOLVER_MAX", dense_max)
+                    coords = batched_coordinates(weights, ei, ej, 4, r)
+                widths = []
+                for b, w in enumerate(weights):
+                    g = ring.with_weights(w)
+                    emb = embed(g, components(g), r)[0]
+                    widths.append(emb.r_eff)
+                    for target in range(4):
+                        got = target_distances(coords[b : b + 1], [target])[0]
+                        want = [emb.distance(ids[target], sid) for sid in ids]
+                        assert np.allclose(got, want, rtol=0.0, atol=tol)
+                if r == 1:
+                    assert widths == [2, 1, 1, 1, 2]
+                assert coords.shape == (5, 4, max(widths))
+
+    def test_empty_batch(self, monkeypatch):
+        _, ring = _ring4()
+        ei, ej = ring.edge_index_arrays()
+        for dense_max in (spectral.DENSE_SOLVER_MAX, 3):
+            monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", dense_max)
+            assert batched_coordinates(np.ones((0, 4)), ei, ej, 4, 2).shape == (0, 4, 0)
 
 
 def _weights_in_order(g, g2, rename):
