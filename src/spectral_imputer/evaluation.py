@@ -12,7 +12,6 @@ from their observations.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -29,30 +28,9 @@ from .estimators import (
 )
 from .graph import FarmGraph, FarmLayout, build_graph, propose_grid_edges
 from .online import track_sequence
+from .spectral import thread_cap  # noqa: F401  (re-exported)
 
 SETUPS = ("complete", "incomplete")
-
-
-def thread_cap() -> int:
-    """Worker cap for config sweeps.
-
-    SPECTRAL_IMPUTER_THREADS if set, else the CPUs this process may run
-    on (its affinity mask, where the platform reports one).
-    """
-    raw = os.environ.get("SPECTRAL_IMPUTER_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ConfigError(
-                f"SPECTRAL_IMPUTER_THREADS must be an integer, got {raw!r}"
-            ) from None
-        if cap < 1:
-            raise ConfigError("SPECTRAL_IMPUTER_THREADS must be >= 1")
-        return cap
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0)) or 1
-    return os.cpu_count() or 1
 
 
 def rmse(truth: np.ndarray, estimates: np.ndarray) -> float:
@@ -304,9 +282,9 @@ def sweep(
 ) -> list[EvalReport]:
     """Evaluate many configurations, best mean improvement first.
 
-    Runs configurations concurrently up to `thread_cap()` workers; the
-    returned ordering is by score, ties broken by submission order, so the
-    report is deterministic either way.
+    Runs configurations one after another; each run's eigensolves are
+    already split across `thread_cap()` workers by the embedding engine.
+    The returned ordering is by score, ties broken by configuration order.
     """
     configs = list(configs)
     for setup in setups:
@@ -314,13 +292,11 @@ def sweep(
             raise ConfigError(
                 f"unknown setup {setup!r}; choose from {', '.join(SETUPS)}"
             )
-    jobs = [(config, setup) for config in configs for setup in setups]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(jobs)) or 1) as pool:
-        reports = list(
-            pool.map(lambda job: leave_one_out_eval(panel, *job, layout, graph, within), jobs)
-        )
+    reports = [
+        leave_one_out_eval(panel, config, setup, layout, graph, within)
+        for config in configs
+        for setup in setups
+    ]
     order = sorted(
         range(len(reports)), key=lambda k: (-reports[k].mean_improvement, k)
     )

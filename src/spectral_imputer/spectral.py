@@ -12,10 +12,21 @@ DEGENERACY_TOL form a group whose eigenvectors only span a well-defined
 subspace individually; a requested dimension that would split such a group
 is widened to include it whole, which keeps pairwise embedding distances
 basis-independent.
+
+The dense route is the only code that runs on more than one thread: it
+splits a batch of graphs across `thread_cap()` workers, with numpy's
+bundled OpenBLAS pinned to one thread meanwhile, since BLAS threads and
+worker threads compete for the same cores.  Each matrix of a batched
+`eigh` is solved on its own, so the split changes no bit of the result.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +153,72 @@ class Embedding:
         )
 
 
+def thread_cap() -> int:
+    """Worker threads the embedding engine may use.
+
+    SPECTRAL_IMPUTER_THREADS if set, else the CPUs this process may run
+    on (its affinity mask, where the platform reports one).
+    """
+    raw = os.environ.get("SPECTRAL_IMPUTER_THREADS", "").strip()
+    if raw:
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise ConfigError(
+                f"SPECTRAL_IMPUTER_THREADS must be an integer, got {raw!r}"
+            ) from None
+        if cap < 1:
+            raise ConfigError("SPECTRAL_IMPUTER_THREADS must be >= 1")
+        return cap
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+# The BLAS thread count is process-wide, so the pins that hold it are too.
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_saved = None
+
+
+@contextlib.contextmanager
+def _blas_pinned(calls):
+    """Hold BLAS at one thread; the last of overlapping holders restores it."""
+    global _pin_holders, _pin_saved
+    get, put = calls
+    with _pin_lock:
+        if _pin_holders == 0:
+            _pin_saved = get()
+            put(1)
+        _pin_holders += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                put(_pin_saved)
+
+
 def batch_rows(n: int) -> int:
     """Rows per batched eigendecomposition of n-node graphs."""
     return max(1, BATCH_BYTES // (8 * n * n))
@@ -151,10 +228,11 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
     """Embedding coordinates of many weightings of one edge set.
 
     The one place edge weights become coordinates.  Up to
-    DENSE_SOLVER_MAX nodes, `batch_rows(n)` graphs share each batched
-    dense eigendecomposition; above it, each graph gets its own iterative
-    partial solve.  Each graph's dimension is widened to its degenerate
-    group.
+    DENSE_SOLVER_MAX nodes, chunks of at most `batch_rows(n)` graphs
+    share batched dense eigendecompositions on `thread_cap()` workers;
+    above it, each graph gets its own iterative partial solve, serially.
+    Each graph's dimension is widened to its degenerate group.  The
+    result does not depend on the worker count.
 
     Args:
         weights: (B, E) edge weights, B >= 0, all >= 0; in every row the
@@ -171,14 +249,33 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
     if n > DENSE_SOLVER_MAX:
         parts = [_iterative_coordinates(w, ei, ej, n, r) for w in weights]
     else:
-        step = batch_rows(n)
-        parts = [
-            _dense_coordinates(weights[start : start + step], ei, ej, n, r)
-            for start in range(0, len(weights), step)
-        ]
+        parts = _dense_chunks(weights, ei, ej, n, r)
     k = max((part.shape[2] for part in parts), default=0)
     padded = [np.pad(part, ((0, 0), (0, 0), (0, k - part.shape[2]))) for part in parts]
     return np.concatenate(padded) if padded else np.zeros((0, n, 0))
+
+
+def _dense_chunks(weights, ei, ej, n: int, r: int) -> list[np.ndarray]:
+    """`_dense_coordinates` of contiguous chunks, in order, on workers.
+
+    The chunks are near-equal, at most `batch_rows(n)` graphs each, and
+    their count is a multiple of `thread_cap()`, so the workers get equal
+    shares.  Runs serially with one worker, one chunk, or no OpenBLAS
+    thread control: unpinned, worker threads are slower than one thread.
+    """
+    workers = thread_cap()
+    if len(weights) == 0:
+        return []
+    needed = -(-len(weights) // batch_rows(n))
+    chunks = np.array_split(weights, min(len(weights), -(-needed // workers) * workers))
+    run = functools.partial(_dense_coordinates, ei=ei, ej=ej, n=n, r=r)
+    calls = _openblas_thread_calls()
+    if workers == 1 or len(chunks) == 1 or calls is None:
+        return [run(chunk) for chunk in chunks]
+    from concurrent.futures import ThreadPoolExecutor  # kept off the import path
+
+    with _blas_pinned(calls), ThreadPoolExecutor(min(workers, len(chunks))) as pool:
+        return list(pool.map(run, chunks))
 
 
 def _reduced_laplacians(weights, ei, ej, n: int):

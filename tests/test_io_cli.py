@@ -786,6 +786,48 @@ def test_cli_evaluate_deterministic_bytes(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["impute", "evaluate"])
+def test_cli_weighted_outputs_independent_of_thread_cap(tmp_path, monkeypatch, command):
+    # The engine splits the eigensolves over SPECTRAL_IMPUTER_THREADS
+    # workers; the serial run, the default and an odd cap write the same
+    # bytes to every file.  One --out for all, as the manifest records it.
+    layout_csv = _layout_file(tmp_path)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv, rate=0.2)
+    out = tmp_path / command
+    outs = []
+    for threads in ("1", None, "3"):
+        if threads is None:
+            monkeypatch.delenv("SPECTRAL_IMPUTER_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", threads)
+        rc = main(
+            [command, "--layout", layout_csv, "--edges", edges, "--panel", masked_csv,
+             "--method", "weighted_graph", "--out", str(out)]
+        )
+        assert rc == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert len(outs[0]) >= 3
+    assert outs[1] == outs[0] and outs[2] == outs[0]
+
+
+def test_cli_bad_thread_cap_single_line_error(tmp_path, monkeypatch, capsys):
+    layout_csv = _layout_file(tmp_path)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    capsys.readouterr()
+    monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "zero")
+    out = tmp_path / "imp"
+    rc = main(
+        ["impute", "--layout", layout_csv, "--edges", edges, "--panel", masked_csv,
+         "--method", "weighted_graph", "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: SPECTRAL_IMPUTER_THREADS must be an integer, got 'zero'\n"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_cli_evaluate_split_halves(tmp_path):
     layout_csv = _layout_file(tmp_path)
     masked_csv, _ = _simulate(tmp_path, layout_csv)

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -304,3 +307,154 @@ def _weights_in_order(g, g2, rename):
     return [
         by_pair[frozenset((inverse[a], inverse[b]))] for a, b in g2.edge_ids
     ]
+
+
+def _mixed_batch(count=250):
+    """A 4-cycle and a 6-cycle under `count` weightings each; about a tenth
+    of the rows are uniform, where r=1 widens to a degenerate pair."""
+    rng = np.random.default_rng(17)
+    batches = []
+    for n in (4, 6):
+        edges = [(k, (k + 1) % n) for k in range(n)]
+        ei, ej = (np.array(side) for side in zip(*edges))
+        weights = rng.uniform(0.1, 1.0, (count, len(edges)))
+        weights[rng.random(count) < 0.1] = 1.0
+        batches.append((weights, ei, ej, n))
+    return batches
+
+
+class TestEngineThreads:
+    """The dense route splits its batch over `thread_cap()` workers."""
+
+    @pytest.fixture
+    def blas(self, monkeypatch):
+        """numpy's OpenBLAS (get, set) calls, or a stand-in where they cannot
+        be reached, holding 2 threads for the test; the old count is put
+        back afterwards."""
+        calls = spectral._openblas_thread_calls()
+        if calls is None:
+            count = [1]
+            calls = (lambda: count[0], lambda k: count.__setitem__(0, k))
+            monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: calls)
+        get, put = calls
+        before = get()
+        put(2)
+        monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "2")
+        yield get
+        put(before)
+
+    @pytest.mark.parametrize("batch_bytes", [spectral.BATCH_BYTES, 2000])
+    def test_bits_do_not_depend_on_the_cap(self, monkeypatch, blas, batch_bytes):
+        # 2000 bytes hold 15 rows of 4x4 and 6 of 6x6, so the batch also
+        # splits into more chunks than workers.
+        monkeypatch.setattr(spectral, "BATCH_BYTES", batch_bytes)
+        for weights, ei, ej, n in _mixed_batch():
+            runs = []
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", threads)
+                runs.append(batched_coordinates(weights, ei, ej, n, 1))
+            assert runs[0].shape == (len(weights), n, 2)
+            assert (runs[0][:, :, 1] != 0).any() and (runs[0][:, :, 1] == 0).any()
+            for run in runs[1:]:
+                assert np.array_equal(run, runs[0])
+
+    def _spy(self, monkeypatch, get, before=lambda: None):
+        """Record (BLAS threads, thread id) at each chunk's solve."""
+        seen = []
+        solve = spectral._dense_coordinates
+
+        def spy(weights, *args, **kwargs):
+            before()
+            seen.append((get(), threading.get_ident()))
+            return solve(weights, *args, **kwargs)
+
+        monkeypatch.setattr(spectral, "_dense_coordinates", spy)
+        return seen
+
+    def test_blas_pinned_during_a_call_and_restored_after(self, monkeypatch, blas):
+        weights, ei, ej, n = _mixed_batch()[0]
+        seen = self._spy(monkeypatch, blas)
+        batched_coordinates(weights, ei, ej, n, 1)
+        assert len(seen) == 2 and {threads for threads, _ in seen} == {1}
+        assert threading.get_ident() not in {ident for _, ident in seen}
+        assert blas() == 2
+
+    def test_blas_restored_when_a_worker_raises(self, monkeypatch, blas):
+        weights, ei, ej, n = _mixed_batch()[0]
+        solves = []
+
+        def fail_second():
+            solves.append(None)
+            if len(solves) == 2:
+                raise RuntimeError("solver failed")
+
+        self._spy(monkeypatch, blas, fail_second)
+        with pytest.raises(RuntimeError, match="solver failed"):
+            batched_coordinates(weights, ei, ej, n, 1)
+        assert blas() == 2
+
+    def test_blas_restored_after_overlapping_calls(self, monkeypatch, blas):
+        # Both calls' two chunks wait for each other inside the solve, so
+        # the calls overlap; the first to finish must not unpin the other.
+        weights, ei, ej, n = _mixed_batch()[0]
+        meet = threading.Barrier(4, timeout=30)
+        seen = self._spy(monkeypatch, blas, meet.wait)
+        results, errors = [], []
+
+        def call():
+            try:
+                results.append(batched_coordinates(weights, ei, ej, n, 1))
+            except Exception as exc:  # surfaced by the asserts below
+                errors.append(exc)
+
+        callers = [threading.Thread(target=call) for _ in range(2)]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+        assert errors == [] and len(results) == 2
+        assert np.array_equal(results[0], results[1])
+        assert len(seen) == 4 and {threads for threads, _ in seen} == {1}
+        assert blas() == 2
+
+    def test_blas_restored_after_many_racing_calls(self, monkeypatch, blas):
+        # More callers and workers than cores, switching threads as often
+        # as the interpreter allows: a lost update to the pin count would
+        # leave BLAS pinned or restore it early.
+        monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "3")
+        weights, ei, ej, n = _mixed_batch(30)[0]
+        want = batched_coordinates(weights, ei, ej, n, 1)
+        seen = self._spy(monkeypatch, blas)
+        results = []
+
+        def call():
+            for _ in range(20):
+                results.append(batched_coordinates(weights, ei, ej, n, 1))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call) for _ in range(6)]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 120 and all(np.array_equal(r, want) for r in results)
+        assert len(seen) == 360 and {threads for threads, _ in seen} == {1}
+        assert blas() == 2
+
+    def test_serial_without_blas_control(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+        seen = self._spy(monkeypatch, lambda: None)
+        for weights, ei, ej, n in _mixed_batch():
+            monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "1")
+            serial = batched_coordinates(weights, ei, ej, n, 2)
+            monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "2")
+            seen.clear()
+            assert np.array_equal(batched_coordinates(weights, ei, ej, n, 2), serial)
+            assert len(seen) == 2
+            assert {ident for _, ident in seen} == {threading.get_ident()}
