@@ -4,10 +4,11 @@ The evaluation hides one observed cell at a time, re-runs the configured
 estimator on the modified row, and scores the estimate against the hidden
 truth.  For the time-varying graph method the per-row similarity guesses
 depend only on the rows before it, which the hide does not touch, so the
-whole guess sequence can be replayed once up front and every (row, sensor)
-score computed independently.  So each hidden sensor is one call of the
-impute estimator, over the rows it is scored on, with that sensor cleared
-from their observations.
+tracker can be replayed ahead of the rows it serves and every (row, sensor)
+score computed independently.  So evaluation runs like `impute`: over
+blocks of rows, the tracker replayed over each block first, with one call
+of the impute estimator per block covering every scored cell, each cell
+its row with that sensor cleared from the observations.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .estimators import (
     Provenance,
     geo_distance_matrix,
     make_estimator,
-    revealed_similarity_rows,
 )
 from .graph import FarmGraph, FarmLayout, build_graph, propose_grid_edges
-from .online import track_sequence
+from .online import SimilarityTracker
+from .spectral import batch_rows, single_blas_thread
 from .spectral import thread_cap  # noqa: F401  (re-exported)
 
 SETUPS = ("complete", "incomplete")
@@ -74,27 +75,36 @@ def split_rows(t_len: int, split: str, fraction: float = 0.5) -> np.ndarray:
     return keep
 
 
+def scorable_cells(
+    mask: np.ndarray, setup: str, within: np.ndarray | None = None
+) -> np.ndarray:
+    """(T, N) bool: the cells where hiding the sensor leaves a scorable estimate.
+
+    complete: every cell of a row with every sensor observed.  incomplete:
+    observed cells whose row has at least one other observation; rows with
+    no other observation are skipped for every method rather than scored
+    as an automatic failure, so the comparison stays about estimator
+    quality.  `within` optionally restricts candidates to a row subset.
+    """
+    if setup not in SETUPS:
+        raise ConfigError(f"unknown setup {setup!r}; choose from {', '.join(SETUPS)}")
+    if setup == "complete":
+        ok = np.repeat(mask.all(axis=1, keepdims=True), mask.shape[1], axis=1)
+    else:
+        ok = mask & (mask.sum(axis=1, keepdims=True) - mask > 0)
+    if within is not None:
+        ok &= np.asarray(within, dtype=bool)[:, None]
+    return ok
+
+
 def scorable_rows(
     mask: np.ndarray, col: int, setup: str, within: np.ndarray | None = None
 ) -> np.ndarray:
     """Row indices where hiding `col` leaves a scorable estimate.
 
-    complete: rows with every sensor observed.  incomplete: rows where
-    `col` is observed alongside at least one other sensor; rows with no
-    other observation are skipped for every method rather than scored as
-    an automatic failure, so the comparison stays about estimator quality.
-    `within` optionally restricts candidates to a row subset.
+    See `scorable_cells` for which rows qualify under each `setup`.
     """
-    if setup not in SETUPS:
-        raise ConfigError(f"unknown setup {setup!r}; choose from {', '.join(SETUPS)}")
-    if setup == "complete":
-        ok = mask.all(axis=1)
-    else:
-        others = mask.sum(axis=1) - mask[:, col]
-        ok = mask[:, col] & (others > 0)
-    if within is not None:
-        ok = ok & np.asarray(within, dtype=bool)
-    return np.flatnonzero(ok)
+    return np.flatnonzero(scorable_cells(mask, setup, within)[:, col])
 
 
 # ---------------------------------------------------------------------------
@@ -223,28 +233,40 @@ def leave_one_out_eval(
 
     estimator = make_estimator(config, panel.sensor_ids, layout, graph)
     baseline_estimator = make_estimator(EstimatorConfig("naive"), panel.sensor_ids)
-    guesses = None
+    tracker = None
     if config.method == "weighted_graph":
-        guesses, _ = track_sequence(
-            revealed_similarity_rows(panel, graph), config.learning_rate
-        )
-    values = np.where(panel.mask, panel.values, 0.0)
-
-    per_rmse = np.full(n, np.nan)
-    per_naive = np.full(n, np.nan)
-    counts = np.zeros(n, dtype=int)
+        tracker = SimilarityTracker.for_graph(graph, eta=config.learning_rate)
+    ok = scorable_cells(panel.mask, setup, within)
+    counts = ok.sum(axis=0)
+    # Sensor by sensor, the scored rows' estimates in row order, with the
+    # next free slot of each sensor's range.
+    ends = np.cumsum(counts)
+    free = ends - counts
+    all_estimates = np.empty(int(ends[-1]))
+    all_baseline = np.empty(int(ends[-1]))
     tags = np.zeros(len(Provenance), dtype=int)
-    for col in range(n):
-        rows = scorable_rows(panel.mask, col, setup, within)
-        counts[col] = rows.size
+    # Blocks of rows, the tracker replayed over each in turn as `impute`
+    # does, keep memory flat in the panel's length.  Every observed cell
+    # is scored, so `impute`'s `batch_rows(n)` rows would make (cells, n)
+    # arrays near BATCH_BYTES, which glibc returned to the system after
+    # each block: 110k page faults in one 10x10 evaluate, 1k at half size.
+    step = max(1, batch_rows(n) // 2)
+    for start in range(0, panel.t_len, step):
+        mask = panel.mask[start : start + step]
+        values = np.where(mask, panel.values[start : start + step], 0.0)
+        guesses = None
+        if tracker is not None:
+            guesses, _ = tracker.replay(estimator.edge_weights(values, mask, np.nan))
+        # Sensor-major, so each sensor's cells are contiguous and in row order.
+        targets, rows = np.nonzero(ok[start : start + step].T)
         if rows.size == 0:
             continue
-        # Each scorable row is the impute estimator's input with one more
-        # hole: `col` hidden from `obs`; its truth stays in `values`,
+        # Each scored cell is the impute estimator's input with one more
+        # hole: its sensor hidden from `obs`; its truth stays in `values`,
         # which the estimators ignore wherever `obs` is False.
-        obs = panel.mask[rows]
-        obs[:, col] = False
-        cells = (values[rows], obs, np.arange(rows.size), col)
+        obs = mask[rows]
+        obs[np.arange(rows.size), targets] = False
+        cells = (values[rows], obs, np.arange(rows.size), targets)
         baseline, _ = baseline_estimator.estimate(*cells)
         estimates = baseline
         # The plain mean weights nothing, so naive reports no fallback counts.
@@ -252,9 +274,18 @@ def leave_one_out_eval(
             row_guesses = None if guesses is None else guesses[rows]
             estimates, codes = estimator.estimate(*cells, row_guesses)
             tags += np.bincount(codes, minlength=len(Provenance))
-        truth = panel.values[rows, col]
-        per_rmse[col] = rmse(truth, estimates)
-        per_naive[col] = rmse(truth, baseline)
+        slots = free[targets] + np.arange(rows.size) - np.searchsorted(targets, targets)
+        all_estimates[slots] = estimates
+        all_baseline[slots] = baseline
+        free += np.bincount(targets, minlength=n)
+
+    per_rmse = np.full(n, np.nan)
+    per_naive = np.full(n, np.nan)
+    for col in np.flatnonzero(counts):
+        truth = panel.values[ok[:, col], col]
+        scored = slice(ends[col] - counts[col], ends[col])
+        per_rmse[col] = rmse(truth, all_estimates[scored])
+        per_naive[col] = rmse(truth, all_baseline[scored])
     fallback_counts = {p.label: int(tags[p]) for p in Provenance if tags[p]}
     return EvalReport(
         method=config.method,
@@ -392,18 +423,19 @@ def synth_panel(
     n = layout.n
     d = geo_distance_matrix(layout)
     cov = np.exp(-((d / spatial_scale) ** 2))
-    eigenvalues, vectors = np.linalg.eigh(cov)
-    factor = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
-
     phi = temporal_persistence
     innovation = np.sqrt(1.0 - phi**2)
     driver = np.empty(t_len)
     field = np.empty((t_len, n))
-    driver[0] = rng.standard_normal()
-    field[0] = factor @ rng.standard_normal(n)
-    for t in range(1, t_len):
-        driver[t] = phi * driver[t - 1] + innovation * rng.standard_normal()
-        field[t] = phi * field[t - 1] + innovation * (factor @ rng.standard_normal(n))
+    # Every BLAS call here is small: extra BLAS threads only slow it down.
+    with single_blas_thread():
+        eigenvalues, vectors = np.linalg.eigh(cov)
+        factor = vectors * np.sqrt(np.clip(eigenvalues, 0.0, None))
+        driver[0] = rng.standard_normal()
+        field[0] = factor @ rng.standard_normal(n)
+        for t in range(1, t_len):
+            driver[t] = phi * driver[t - 1] + innovation * rng.standard_normal()
+            field[t] = phi * field[t - 1] + innovation * (factor @ rng.standard_normal(n))
     signal = driver_scale * driver[:, None] + noise_scale * field
     values = 1.0 / (1.0 + np.exp(-signal))
     timestamps = tuple(str(float(t)) for t in range(t_len))

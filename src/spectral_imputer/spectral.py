@@ -13,11 +13,21 @@ subspace individually; a requested dimension that would split such a group
 is widened to include it whole, which keeps pairwise embedding distances
 basis-independent.
 
-The dense route is the only code that runs on more than one thread: it
-splits a batch of graphs across `thread_cap()` workers, with numpy's
-bundled OpenBLAS pinned to one thread meanwhile, since BLAS threads and
-worker threads compete for the same cores.  Each matrix of a batched
-`eigh` is solved on its own, so the split changes no bit of the result.
+Up to DENSE_SOLVER_MAX nodes a batch of graphs shares dense batched
+`eigh` calls.  This dense route is the only code that runs on more than
+one thread: it splits the batch across `thread_cap()` workers, with
+numpy's bundled OpenBLAS pinned to one thread meanwhile, since BLAS
+threads and worker threads compete for the same cores.  Each matrix of a
+batched `eigh` is solved on its own, so the split changes no bit of the
+result.
+
+Above DENSE_SOLVER_MAX each graph gets a shift-inverted partial solve
+(ARPACK's Lanczos through `eigsh`).  Its shifted matrix
+I - S A S - SHIFT I is filled straight into a CSC layout computed once
+per edge set and factored once by SuperLU, and `eigsh` is handed the
+factor's solve, so no dense (n, n) matrix is built and the work per
+graph follows the edge count rather than n^2.  This route runs serially:
+ARPACK holds the GIL, so worker threads gain nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +52,10 @@ DEGENERACY_TOL = 1e-9
 # float64 stack near this size; a few such stacks are live at once, so
 # this bounds their memory whatever the farm size.
 BATCH_BYTES = 1 << 20
+# Shift of the iterative route's shift-invert solves: just below the
+# spectrum, whose smallest eigenvalue is 0, so the shifted matrix is
+# positive definite and the smallest eigenvalues map to the largest.
+SHIFT = -0.01
 
 
 @dataclass(frozen=True)
@@ -219,6 +233,16 @@ def _blas_pinned(calls):
                 put(_pin_saved)
 
 
+def single_blas_thread():
+    """Hold numpy's OpenBLAS at one thread for a block; a no-op without it.
+
+    Small BLAS calls run faster on one thread than on several, and the
+    result does not depend on the count.
+    """
+    calls = _openblas_thread_calls()
+    return contextlib.nullcontext() if calls is None else _blas_pinned(calls)
+
+
 def batch_rows(n: int) -> int:
     """Rows per batched eigendecomposition of n-node graphs."""
     return max(1, BATCH_BYTES // (8 * n * n))
@@ -230,14 +254,16 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
     The one place edge weights become coordinates.  Up to
     DENSE_SOLVER_MAX nodes, chunks of at most `batch_rows(n)` graphs
     share batched dense eigendecompositions on `thread_cap()` workers;
-    above it, each graph gets its own iterative partial solve, serially.
-    Each graph's dimension is widened to its degenerate group.  The
-    result does not depend on the worker count.
+    above it, each graph is built as a sparse shifted matrix on one CSC
+    layout shared by the batch, factored, and given its own
+    shift-inverted partial solve, serially.  Each graph's dimension is
+    widened to its degenerate group.  The result does not depend on the
+    worker count.
 
     Args:
         weights: (B, E) edge weights, B >= 0, all >= 0; in every row the
             edges of positive weight connect all n nodes.
-        ei, ej: (E,) endpoint indices of the edges.
+        ei, ej: (E,) endpoint indices of distinct edges, no self-loops.
         n: node count, >= 2.
         r: requested embedding dimension, >= 1.
 
@@ -247,7 +273,8 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
         so distances over all k columns are distances in its own embedding.
     """
     if n > DENSE_SOLVER_MAX:
-        parts = [_iterative_coordinates(w, ei, ej, n, r) for w in weights]
+        pattern = _shifted_pattern(ei, ej, n)
+        parts = [_iterative_coordinates(w, ei, ej, n, r, pattern) for w in weights]
     else:
         parts = _dense_chunks(weights, ei, ej, n, r)
     k = max((part.shape[2] for part in parts), default=0)
@@ -306,23 +333,53 @@ def _dense_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
     return _coordinates(*np.linalg.eigh(a), s, r)
 
 
-def _iterative_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
+def _shifted_pattern(ei, ej, n: int):
+    """CSC layout of I - S A S - SHIFT I for one edge set, shared by its graphs.
+
+    Returns (indptr, indices, order): the entries are both directions of
+    every edge, then the diagonal, and `order` maps that list to the
+    column-major, row-sorted CSC positions.
+    """
+    idx = np.arange(n)
+    rows = np.concatenate([ei, ej, idx])
+    cols = np.concatenate([ej, ei, idx])
+    order = np.lexsort((rows, cols))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
+    return indptr.astype(np.intc), rows[order].astype(np.intc), order
+
+
+def _shifted_laplacian(weights, ei, ej, n: int, pattern):
+    """Sparse I - S A S - SHIFT I of one weighting, and its (1, n) S."""
+    from scipy.sparse import csc_array
+
+    indptr, indices, order = pattern
+    s = 1.0 / np.sqrt(np.bincount(ei, weights, n) + np.bincount(ej, weights, n))
+    # Formed as `_reduced_laplacians` forms them: -(w * (s_i * s_j)).
+    off = -(weights * (s[ei] * s[ej]))
+    values = np.concatenate([off, off, np.full(n, 1.0 - SHIFT)])
+    return csc_array((values[order], indices, indptr), shape=(n, n)), s[None]
+
+
+def _iterative_coordinates(weights, ei, ej, n: int, r: int, pattern) -> np.ndarray:
     """(1, n, k) coordinates of one graph from a shift-inverted partial solve.
 
+    The shifted matrix is built sparse on `_shifted_pattern`'s layout and
+    factored once; eigsh gets the factor's solve as its inverse operator.
     Fetches a few pairs past the requested dimension, and more until the
     widened group's boundary sits strictly inside what was fetched; a
     group that runs past what the solver can expose is settled densely.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import eigsh
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-    a, s = _reduced_laplacians(weights[None], ei, ej, n)
-    sparse = csr_matrix(a[0])
+    shifted, s = _shifted_laplacian(weights, ei, ej, n, pattern)
+    inverse = LinearOperator((n, n), matvec=splu(shifted).solve, dtype=float)
     v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start keeps runs reproducible
     need = min(r, n - 1)
     k = min(n - 1, need + 2)
     while True:
-        vals, u = eigsh(sparse, k=k, sigma=-0.01, which="LM", v0=v0)
+        # In shift-invert mode eigsh applies only OPinv; A lends its shape
+        # and dtype.
+        vals, u = eigsh(shifted, k=k, sigma=SHIFT, which="LM", v0=v0, OPinv=inverse)
         order = np.argsort(vals)
         vals, u = vals[order], u[:, order]
         if widen_to_degenerate_group(vals, min(need, k - 1)) + 1 < k:

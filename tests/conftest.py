@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spectral_imputer import spectral
 from spectral_imputer.graph import FarmLayout, Sensor, build_graph
 
 
@@ -58,3 +59,21 @@ def path3_layout():
 @pytest.fixture
 def path3_graph(path3_layout):
     return chain_graph(path3_layout)
+
+
+@pytest.fixture
+def blas(monkeypatch):
+    """numpy's OpenBLAS thread-count getter, or a stand-in's where the
+    calls cannot be reached, holding 2 threads (and 2 engine workers) for
+    the test; the old count is put back afterwards."""
+    calls = spectral._openblas_thread_calls()
+    if calls is None:
+        count = [1]
+        calls = (lambda: count[0], lambda k: count.__setitem__(0, k))
+        monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: calls)
+    get, put = calls
+    before = get()
+    put(2)
+    monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "2")
+    yield get
+    put(before)

@@ -1,6 +1,7 @@
 """Leave-one-out evaluation, synthetic panels, and missingness."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -174,6 +175,27 @@ def test_synth_panel_validation():
         synth_panel(layout, 10, spatial_scale=1.0, temporal_persistence=1.0)
 
 
+def test_synth_panel_pins_blas_and_restores_it(monkeypatch, blas):
+    """The generator's BLAS work runs on one thread, the caller's count
+    comes back afterwards, and the bytes match an unpinned run's."""
+    layout = grid_layout(10, 10)
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a):
+        seen.append(blas())
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    args = (layout, 300, 2.0, 0.8, 4)
+    pinned = synth_panel(*args)
+    assert seen == [1] and blas() == 2
+    monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
+    unpinned = synth_panel(*args)
+    assert seen == [1, 2] and blas() == 2
+    assert pinned.values.tobytes() == unpinned.values.tobytes()
+
+
 def _holed_panel(layout, t_len, rate, seed):
     full = synth_panel(layout, t_len, spatial_scale=1.2, temporal_persistence=0.5, seed=seed)
     return apply_missingness(full, MissingnessSpec("mcar", rate, seed=seed + 100))
@@ -280,6 +302,28 @@ def test_eval_weighted_slow_path_rows_are_scored():
     rep = leave_one_out_eval(panel, cfg, "complete", graph=graph)
     assert rep.scored_counts.sum() == t * 3
     assert np.isfinite(rep.rmse).all()
+
+
+@pytest.mark.parametrize(
+    "method, shape, scored", [("weighted_graph", (5, 7), 100), ("location", (3, 4), None)]
+)
+def test_eval_memory_flat_in_panel_length(method, shape, scored):
+    """Doubling the panel's length keeps the traced peak within 1.2x.
+    Scoring only the first `scored` rows leaves the tracker's run over the
+    whole stream as the one part that sees every row."""
+    layout, graph = _grid_setup(*shape)
+    peaks = []
+    for t_len in (2000, 4000):
+        panel = _holed_panel(layout, t_len, 0.02, seed=60)
+        within = None if scored is None else np.arange(t_len) < scored
+        cfg = EstimatorConfig(method=method)
+        tracemalloc.start()
+        try:
+            leave_one_out_eval(panel, cfg, "complete", layout, graph, within)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 def test_eval_unscored_sensor_reports_nan_and_is_excluded():
@@ -450,6 +494,30 @@ def test_eval_within_restricts_scored_rows():
             rows = scorable_rows(panel.mask, col, "complete", within=half)
             assert part.scored_counts[col] == rows.size
             assert half[rows].all()
+
+
+def test_eval_within_still_tracks_every_row(monkeypatch):
+    """Rows outside `within` are not scored, but the tracker learns from
+    them: scores match one streaming impute per hidden cell.  Blocks of
+    10 rows put whole blocks outside `within`."""
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 8 * 6 * 6 * 10)
+    layout, graph = _grid_setup(2, 3)
+    panel = _holed_panel(layout, 40, 0.1, seed=91)
+    within = split_rows(panel.t_len, "second")
+    cfg = EstimatorConfig(method="weighted_graph")
+    rep = leave_one_out_eval(panel, cfg, "complete", graph=graph, within=within)
+    for col in range(panel.n_sensors):
+        rows = scorable_rows(panel.mask, col, "complete", within)
+        assert rows.size > 0
+        estimates = []
+        for t in rows:
+            values = panel.values.copy()
+            values[t, col] = np.nan
+            hidden = Panel.from_values(panel.timestamps, panel.sensor_ids, values)
+            out, _ = impute_weighted_graph(hidden, graph)
+            estimates.append(out.filled[t, col])
+        direct = rmse(panel.values[rows, col], np.array(estimates))
+        assert rep.rmse[col] == pytest.approx(direct, abs=1e-10)
 
 
 def test_synth_panel_infinite_scale_makes_sensors_agree():

@@ -10,7 +10,13 @@ from spectral_imputer.errors import (
     DegenerateDegreeError,
     InputError,
 )
-from spectral_imputer.graph import adjacency, build_graph, components, laplacian
+from spectral_imputer.graph import (
+    adjacency,
+    build_graph,
+    components,
+    laplacian,
+    propose_grid_edges,
+)
 from spectral_imputer.spectral import (
     DEGENERACY_TOL,
     Embedding,
@@ -21,7 +27,7 @@ from spectral_imputer.spectral import (
     widen_to_degenerate_group,
 )
 
-from conftest import chain_graph, make_layout, random_connected_graph
+from conftest import chain_graph, grid_layout, make_layout, random_connected_graph
 
 
 class TestSolveGeneralized:
@@ -298,6 +304,61 @@ class TestBatchedCoordinates:
             assert batched_coordinates(np.ones((0, 4)), ei, ej, 4, 2).shape == (0, 4, 0)
 
 
+def _king16_batch():
+    """A 16x16 king grid (256 nodes, above DENSE_SOLVER_MAX) under three
+    weightings: random; uniform, whose symmetric spectrum has degenerate
+    pairs; and random with every diagonal edge at zero, leaving the
+    connected rook grid as the positive edges."""
+    layout = grid_layout(16, 16)
+    g = build_graph(layout, propose_grid_edges(layout, "king"))
+    ei, ej = g.edge_index_arrays()
+    rng = np.random.default_rng(23)
+    zeroed = rng.uniform(0.1, 1.0, ei.size)
+    zeroed[(ei // 16 != ej // 16) & (ei % 16 != ej % 16)] = 0.0
+    weights = np.vstack([rng.uniform(0.1, 1.0, ei.size), np.ones(ei.size), zeroed])
+    return weights, ei, ej, 256
+
+
+class TestIterativeRoute:
+    """Above DENSE_SOLVER_MAX each graph gets a sparse shift-inverted solve."""
+
+    def test_factors_the_shifted_reduced_laplacian(self, monkeypatch):
+        import scipy.sparse.linalg as sparse_linalg
+
+        weights, ei, ej, n = _king16_batch()
+        assert (weights[2] == 0).any()
+        factored = []
+        splu = sparse_linalg.splu
+
+        def spy(matrix):
+            factored.append(matrix)
+            return splu(matrix)
+
+        monkeypatch.setattr(sparse_linalg, "splu", spy)
+        batched_coordinates(weights, ei, ej, n, 2)
+        assert len(factored) == len(weights)
+        for matrix, w in zip(factored, weights):
+            assert matrix.format == "csc" and matrix.has_sorted_indices
+            reduced = spectral._reduced_laplacians(w[None], ei, ej, n)[0][0]
+            want = reduced - spectral.SHIFT * np.eye(n)
+            assert np.abs(matrix.toarray() - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("r", [1, 6])
+    def test_distances_agree_with_the_dense_route(self, monkeypatch, r):
+        weights, ei, ej, n = _king16_batch()
+        iterative = batched_coordinates(weights, ei, ej, n, r)
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", n)
+        dense = batched_coordinates(weights, ei, ej, n, r)
+        # The uniform row widens past r on both routes.
+        widths = [int((c != 0).any(axis=0).sum()) for c in dense]
+        assert widths[1] > r and widths[0] == widths[2] == r
+        assert [int((c != 0).any(axis=0).sum()) for c in iterative] == widths
+        for target in range(0, n, 15):
+            got = target_distances(iterative, [target] * len(weights))
+            want = target_distances(dense, [target] * len(weights))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+
+
 def _weights_in_order(g, g2, rename):
     """Weights of g2's edges looked up from g through the renaming."""
     inverse = {v: k for k, v in rename.items()}
@@ -325,23 +386,6 @@ def _mixed_batch(count=250):
 
 class TestEngineThreads:
     """The dense route splits its batch over `thread_cap()` workers."""
-
-    @pytest.fixture
-    def blas(self, monkeypatch):
-        """numpy's OpenBLAS (get, set) calls, or a stand-in where they cannot
-        be reached, holding 2 threads for the test; the old count is put
-        back afterwards."""
-        calls = spectral._openblas_thread_calls()
-        if calls is None:
-            count = [1]
-            calls = (lambda: count[0], lambda k: count.__setitem__(0, k))
-            monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: calls)
-        get, put = calls
-        before = get()
-        put(2)
-        monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "2")
-        yield get
-        put(before)
 
     @pytest.mark.parametrize("batch_bytes", [spectral.BATCH_BYTES, 2000])
     def test_bits_do_not_depend_on_the_cap(self, monkeypatch, blas, batch_bytes):
