@@ -22,12 +22,12 @@ batched `eigh` is solved on its own, so the split changes no bit of the
 result.
 
 Above DENSE_SOLVER_MAX each graph gets a shift-inverted partial solve
-(ARPACK's Lanczos through `eigsh`).  Its shifted matrix
-I - S A S - SHIFT I is filled straight into a CSC layout computed once
-per edge set and factored once by SuperLU, and `eigsh` is handed the
-factor's solve, so no dense (n, n) matrix is built and the work per
-graph follows the edge count rather than n^2.  This route runs serially:
-ARPACK holds the GIL, so worker threads gain nothing.
+(ARPACK's Lanczos through `eigsh`).  Its shifted matrix I - S A S - SHIFT I
+is positive definite, so LAPACK's banded Cholesky (`dpbtrf`) factors it in
+a reverse Cuthill-McKee node order, computed once per edge set and cached,
+which keeps a farm graph's band narrow (half-bandwidth 31 on a 16x16 king
+grid); at worst, a band as wide as n, it is a dense Cholesky.  This route
+runs serially: ARPACK holds the GIL, so worker threads gain nothing.
 """
 
 from __future__ import annotations
@@ -151,21 +151,6 @@ class Embedding:
     r_eff: int
     component_index: int
 
-    def distance(self, a: str, b: str) -> float:
-        """Euclidean distance between two member sensors.
-
-        Raises:
-            KeyError: if either sensor is not in this component.
-        """
-        for sid in (a, b):
-            if sid not in self.coordinates:
-                raise KeyError(
-                    f"sensor {sid!r} is not in this embedding's component"
-                )
-        return float(
-            np.linalg.norm(self.coordinates[a] - self.coordinates[b])
-        )
-
 
 def thread_cap() -> int:
     """Worker threads the embedding engine may use.
@@ -254,11 +239,11 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
     The one place edge weights become coordinates.  Up to
     DENSE_SOLVER_MAX nodes, chunks of at most `batch_rows(n)` graphs
     share batched dense eigendecompositions on `thread_cap()` workers;
-    above it, each graph is built as a sparse shifted matrix on one CSC
-    layout shared by the batch, factored, and given its own
-    shift-inverted partial solve, serially.  Each graph's dimension is
-    widened to its degenerate group.  The result does not depend on the
-    worker count.
+    above it, each graph's shifted matrix is written into a band on the
+    edge set's cached reverse Cuthill-McKee layout, Cholesky-factored,
+    and given its own shift-inverted partial solve, serially.  Each
+    graph's dimension is widened to its degenerate group.  The result
+    does not depend on the worker count.
 
     Args:
         weights: (B, E) edge weights, B >= 0, all >= 0; in every row the
@@ -273,8 +258,8 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
         so distances over all k columns are distances in its own embedding.
     """
     if n > DENSE_SOLVER_MAX:
-        pattern = _shifted_pattern(ei, ej, n)
-        parts = [_iterative_coordinates(w, ei, ej, n, r, pattern) for w in weights]
+        layout = _band_layout(ei, ej, n)
+        parts = [_iterative_coordinates(w, ei, ej, n, r, layout) for w in weights]
     else:
         parts = _dense_chunks(weights, ei, ej, n, r)
     k = max((part.shape[2] for part in parts), default=0)
@@ -333,57 +318,72 @@ def _dense_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
     return _coordinates(*np.linalg.eigh(a), s, r)
 
 
-def _shifted_pattern(ei, ej, n: int):
-    """CSC layout of I - S A S - SHIFT I for one edge set, shared by its graphs.
+def _band_layout(ei, ej, n: int):
+    """Lower band layout of I - S A S - SHIFT I for one edge set, cached.
 
-    Returns (indptr, indices, order): the entries are both directions of
-    every edge, then the diagonal, and `order` maps that list to the
-    column-major, row-sorted CSC positions.
+    Returns (perm, kd, pos): `perm` is the reverse Cuthill-McKee order of
+    the nodes (position p holds node perm[p]), `kd` the half-bandwidth in
+    that order, and `pos` each edge's flat position in an (n, kd + 1)
+    array whose transpose is LAPACK's (kd + 1, n) lower band store.  The
+    cache keeps `impute`'s blocks on one farm from recomputing it.
     """
-    idx = np.arange(n)
-    rows = np.concatenate([ei, ej, idx])
-    cols = np.concatenate([ej, ei, idx])
-    order = np.lexsort((rows, cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))])
-    return indptr.astype(np.intc), rows[order].astype(np.intc), order
+    return _band_layout_of(n, *(np.asarray(e, np.intp).tobytes() for e in (ei, ej)))
 
 
-def _shifted_laplacian(weights, ei, ej, n: int, pattern):
-    """Sparse I - S A S - SHIFT I of one weighting, and its (1, n) S."""
-    from scipy.sparse import csc_array
+@functools.lru_cache(maxsize=8)
+def _band_layout_of(n: int, ei_bytes: bytes, ej_bytes: bytes):
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    indptr, indices, order = pattern
-    s = 1.0 / np.sqrt(np.bincount(ei, weights, n) + np.bincount(ej, weights, n))
-    # Formed as `_reduced_laplacians` forms them: -(w * (s_i * s_j)).
-    off = -(weights * (s[ei] * s[ej]))
-    values = np.concatenate([off, off, np.full(n, 1.0 - SHIFT)])
-    return csc_array((values[order], indices, indptr), shape=(n, n)), s[None]
+    ei, ej = (np.frombuffer(e, dtype=np.intp) for e in (ei_bytes, ej_bytes))
+    # Not symmetric mode: the order is computed on A + A^T.
+    perm = reverse_cuthill_mckee(csr_array((np.ones(ei.size), (ei, ej)), shape=(n, n)))
+    place = np.argsort(perm)
+    lo, off = np.minimum(place[ei], place[ej]), np.abs(place[ei] - place[ej])
+    kd = int(off.max(initial=0))
+    pos = lo * (kd + 1) + off
+    perm.flags.writeable = pos.flags.writeable = False  # shared by every caller
+    return perm, kd, pos
 
 
-def _iterative_coordinates(weights, ei, ej, n: int, r: int, pattern) -> np.ndarray:
+def _iterative_coordinates(weights, ei, ej, n: int, r: int, layout) -> np.ndarray:
     """(1, n, k) coordinates of one graph from a shift-inverted partial solve.
 
-    The shifted matrix is built sparse on `_shifted_pattern`'s layout and
-    factored once; eigsh gets the factor's solve as its inverse operator.
-    Fetches a few pairs past the requested dimension, and more until the
-    widened group's boundary sits strictly inside what was fetched; a
-    group that runs past what the solver can expose is settled densely.
+    The shifted matrix is Cholesky-factored on `_band_layout`'s band, or
+    the graph goes to the dense route if that fails (impossible in exact
+    arithmetic); eigsh, in the layout's node order, gets the factor's
+    solve as its inverse operator.  Fetches a few pairs past the
+    requested dimension, and more until the widened group's boundary
+    sits strictly inside what was fetched; a group that runs past what
+    the solver can expose is settled densely.
     """
-    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+    from scipy.linalg.lapack import dpbtrf, dpbtrs
+    from scipy.sparse.linalg import LinearOperator, eigsh
 
-    shifted, s = _shifted_laplacian(weights, ei, ej, n, pattern)
-    inverse = LinearOperator((n, n), matvec=splu(shifted).solve, dtype=float)
+    perm, kd, pos = layout
+    s = 1.0 / np.sqrt(np.bincount(ei, weights, n) + np.bincount(ej, weights, n))
+    store = np.zeros((n, kd + 1))
+    # Formed as `_reduced_laplacians` forms them: -(w * (s_i * s_j)).
+    store.flat[pos] = -(weights * (s[ei] * s[ej]))
+    store[:, 0] = 1.0 - SHIFT
+    factor, info = dpbtrf(store.T, lower=1, overwrite_ab=1)
+    if info != 0:
+        return _dense_coordinates(weights[None], ei, ej, n, r)
+    inverse = LinearOperator(
+        (n, n), matvec=lambda x: dpbtrs(factor, x, lower=1)[0], dtype=float
+    )
     v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start keeps runs reproducible
     need = min(r, n - 1)
     k = min(n - 1, need + 2)
     while True:
-        # In shift-invert mode eigsh applies only OPinv; A lends its shape
-        # and dtype.
-        vals, u = eigsh(shifted, k=k, sigma=SHIFT, which="LM", v0=v0, OPinv=inverse)
+        # In shift-invert mode eigsh applies only OPinv; A lends its shape.
+        vals, u = eigsh(inverse, k=k, sigma=SHIFT, which="LM", v0=v0, OPinv=inverse)
         order = np.argsort(vals)
-        vals, u = vals[order], u[:, order]
+        vals = vals[order]
         if widen_to_degenerate_group(vals, min(need, k - 1)) + 1 < k:
-            return _coordinates(vals[None], u[None], s, r)
+            back = np.empty_like(u)
+            back[perm] = u[:, order]
+            return _coordinates(vals[None], back[None], s[None], r)
         if k >= n - 1:
             return _dense_coordinates(weights[None], ei, ej, n, r)
         k = min(n - 1, k * 2)

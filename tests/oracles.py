@@ -84,6 +84,18 @@ def embedding_coords(a_sub, r, tol=1e-9):
     return v[:, 1 : k + 1]
 
 
+def embedding_distance(emb, a, b):
+    """Euclidean distance between two sensors of one component's embedding.
+
+    Raises KeyError if either sensor is not in the component.
+    """
+    for sid in (a, b):
+        if sid not in emb.coordinates:
+            raise KeyError(f"sensor {sid!r} is not in this embedding's component")
+    pairs = zip(emb.coordinates[a], emb.coordinates[b])
+    return math.sqrt(sum((x - y) ** 2 for x, y in pairs))
+
+
 def replay_guesses(similarity_rows, eta):
     """Tracker guesses before each round, plain per-edge loop.
 

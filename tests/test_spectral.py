@@ -28,6 +28,7 @@ from spectral_imputer.spectral import (
 )
 
 from conftest import chain_graph, grid_layout, make_layout, random_connected_graph
+from oracles import embedding_distance
 
 
 class TestSolveGeneralized:
@@ -141,14 +142,14 @@ class TestEmbed:
         # r=1 coordinates are (1,0,-1)/sqrt(2); end-to-middle distance
         # is 1/sqrt(2), end-to-end sqrt(2).
         emb = embed(path3_graph, components(path3_graph), r=1)[0]
-        assert emb.distance("s00", "s01") == pytest.approx(
+        assert embedding_distance(emb, "s00", "s01") == pytest.approx(
             1 / np.sqrt(2), abs=1e-9
         )
-        assert emb.distance("s00", "s02") == pytest.approx(
+        assert embedding_distance(emb, "s00", "s02") == pytest.approx(
             np.sqrt(2), abs=1e-9
         )
-        assert emb.distance("s00", "s01") == pytest.approx(
-            emb.distance("s01", "s02"), abs=1e-12
+        assert embedding_distance(emb, "s00", "s01") == pytest.approx(
+            embedding_distance(emb, "s01", "s02"), abs=1e-12
         )
 
     def test_complete_graph_widens_degenerate_group(self):
@@ -166,7 +167,7 @@ class TestEmbed:
         expected = np.sqrt(2.0 / 3.0)
         for i in range(4):
             for j in range(i + 1, 4):
-                assert emb.distance(ids[i], ids[j]) == pytest.approx(
+                assert embedding_distance(emb, ids[i], ids[j]) == pytest.approx(
                     expected, abs=1e-9
                 )
 
@@ -191,7 +192,7 @@ class TestEmbed:
     def test_distance_outside_component_raises(self, path3_graph):
         emb = embed(path3_graph, components(path3_graph), r=1)[0]
         with pytest.raises(KeyError):
-            emb.distance("s00", "zz")
+            embedding_distance(emb, "s00", "zz")
 
     def test_invalid_dimension_rejected(self, path3_graph):
         with pytest.raises(ConfigError):
@@ -221,8 +222,8 @@ class TestEmbed:
                 continue  # degenerate case; distances not comparable
             for i in range(n):
                 for j in range(i + 1, n):
-                    d1 = emb.distance(ids[i], ids[j])
-                    d2 = emb2.distance(rename[ids[i]], rename[ids[j]])
+                    d1 = embedding_distance(emb, ids[i], ids[j])
+                    d2 = embedding_distance(emb2, rename[ids[i]], rename[ids[j]])
                     assert d1 == pytest.approx(d2, abs=1e-10)
 
     def test_bit_identical_across_calls(self, path3_graph):
@@ -255,7 +256,7 @@ class TestEmbed:
         for _ in range(60):
             i, j = rng.integers(0, n, size=2)
             dense_d = float(np.linalg.norm(coords[i] - coords[j]))
-            assert emb.distance(ids[i], ids[j]) == pytest.approx(
+            assert embedding_distance(emb, ids[i], ids[j]) == pytest.approx(
                 dense_d, abs=1e-8
             )
 
@@ -290,7 +291,9 @@ class TestBatchedCoordinates:
                     widths.append(emb.r_eff)
                     for target in range(4):
                         got = target_distances(coords[b : b + 1], [target])[0]
-                        want = [emb.distance(ids[target], sid) for sid in ids]
+                        want = [
+                            embedding_distance(emb, ids[target], sid) for sid in ids
+                        ]
                         assert np.allclose(got, want, rtol=0.0, atol=tol)
                 if r == 1:
                     assert widths == [2, 1, 1, 1, 2]
@@ -320,28 +323,30 @@ def _king16_batch():
 
 
 class TestIterativeRoute:
-    """Above DENSE_SOLVER_MAX each graph gets a sparse shift-inverted solve."""
+    """Above DENSE_SOLVER_MAX each graph gets a banded shift-inverted solve."""
 
     def test_factors_the_shifted_reduced_laplacian(self, monkeypatch):
-        import scipy.sparse.linalg as sparse_linalg
+        import scipy.linalg.lapack as lapack
 
         weights, ei, ej, n = _king16_batch()
         assert (weights[2] == 0).any()
         factored = []
-        splu = sparse_linalg.splu
+        dpbtrf = lapack.dpbtrf
 
-        def spy(matrix):
-            factored.append(matrix)
-            return splu(matrix)
+        def spy(ab, **kwargs):
+            factored.append(np.array(ab))
+            return dpbtrf(ab, **kwargs)
 
-        monkeypatch.setattr(sparse_linalg, "splu", spy)
+        monkeypatch.setattr(lapack, "dpbtrf", spy)
         batched_coordinates(weights, ei, ej, n, 2)
         assert len(factored) == len(weights)
-        for matrix, w in zip(factored, weights):
-            assert matrix.format == "csc" and matrix.has_sorted_indices
+        perm, kd, _ = spectral._band_layout(ei, ej, n)
+        for band, w in zip(factored, weights):
+            assert band.shape == (kd + 1, n)
             reduced = spectral._reduced_laplacians(w[None], ei, ej, n)[0][0]
             want = reduced - spectral.SHIFT * np.eye(n)
-            assert np.abs(matrix.toarray() - want).max() <= 1e-15
+            got = _unband(band)
+            assert np.abs(got - want[np.ix_(perm, perm)]).max() <= 1e-15
 
     @pytest.mark.parametrize("r", [1, 6])
     def test_distances_agree_with_the_dense_route(self, monkeypatch, r):
@@ -357,6 +362,55 @@ class TestIterativeRoute:
             got = target_distances(iterative, [target] * len(weights))
             want = target_distances(dense, [target] * len(weights))
             assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+
+
+    @pytest.mark.parametrize("seeds", [(0,), (1, 2)])
+    def test_scrambled_node_numbering_agrees_with_dense(self, monkeypatch, seeds):
+        # The king grid with its nodes renumbered at random has a band as
+        # wide as the farm; the reverse Cuthill-McKee layout narrows it.
+        # Two renumberings share n and E, so run back to back they would
+        # be wrong if the layout cache handed one's layout to the other.
+        weights, ei, ej, n = _king16_batch()
+        for seed in seeds:
+            rename = np.random.default_rng(seed).permutation(n)
+            si, sj = rename[ei], rename[ej]
+            kd = spectral._band_layout(si, sj, n)[1]
+            assert kd < np.abs(si - sj).max() / 4
+            iterative = batched_coordinates(weights, si, sj, n, 3)
+            with monkeypatch.context() as patched:
+                patched.setattr(spectral, "DENSE_SOLVER_MAX", n)
+                dense = batched_coordinates(weights, si, sj, n, 3)
+            assert iterative.shape == dense.shape
+            for target in range(0, n, 15):
+                got = target_distances(iterative, [target] * len(weights))
+                want = target_distances(dense, [target] * len(weights))
+                assert np.allclose(got, want, rtol=0.0, atol=1e-8)
+
+    def test_failed_factor_falls_back_to_the_dense_route(self, monkeypatch):
+        import scipy.linalg.lapack as lapack
+
+        weights, ei, ej, n = _king16_batch()
+        monkeypatch.setattr(lapack, "dpbtrf", lambda ab, **kwargs: (ab, 1))
+        fallen = batched_coordinates(weights, ei, ej, n, 2)
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", n)
+        dense = batched_coordinates(weights, ei, ej, n, 2)
+        # The same dense solve, though with the BLAS thread count unpinned;
+        # degenerate rows may come out in another basis of their group.
+        assert fallen.shape == dense.shape
+        for target in range(0, n, 15):
+            got = target_distances(fallen, [target] * len(weights))
+            want = target_distances(dense, [target] * len(weights))
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def _unband(band):
+    """Symmetric dense matrix of a LAPACK lower band store."""
+    n = band.shape[1]
+    dense = np.zeros((n, n))
+    for d in range(band.shape[0]):
+        idx = np.arange(n - d)
+        dense[idx + d, idx] = band[d, : n - d]
+    return dense + np.tril(dense, -1).T
 
 
 def _weights_in_order(g, g2, rename):
