@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, InputError
 from .graph import FarmGraph, FarmLayout, component_labels, components
 from .kernels import KERNEL_NAMES, WeightVector, kernel_weight_rows
-from .online import SimilarityTracker
+from .online import ETA_ERROR, ETA_MAX, SimilarityTracker
 from .spectral import (
     batch_rows,
     batched_coordinates,
@@ -195,8 +195,8 @@ class EstimatorConfig:
             )
         if self.r < 1:
             raise ConfigError(f"embedding dimension must be >= 1, got {self.r}")
-        if not self.learning_rate > 0:
-            raise ConfigError("learning rate must be > 0")
+        if not 0 < self.learning_rate <= ETA_MAX:
+            raise ConfigError(ETA_ERROR)
         if not self.weight_floor >= 0:
             raise ConfigError("weight floor must be >= 0")
 

@@ -21,6 +21,10 @@ import numpy as np
 
 from .errors import InputError, UndefinedBaselineError
 
+# Largest learning rate whose state bound 1 + 2 eta is a finite float.
+ETA_MAX = np.finfo(float).max / 2
+ETA_ERROR = f"learning rate must be finite, in (0, {ETA_MAX:.4g}]"
+
 
 def _as_similarities(values, n, ndim):
     r = np.asarray(values, dtype=float)
@@ -53,16 +57,18 @@ class SimilarityTracker:
     Args:
         edge_ids: (from_id, to_id) pairs; order fixes the lane layout that
             `update` rows and checkpoints use.
-        eta: learning rate, scalar > 0, or one rate per edge.
+        eta: learning rate, scalar in (0, ETA_MAX], or one rate per edge.
     """
 
     def __init__(self, edge_ids, eta=0.5):
         self.edge_ids = tuple((str(a), str(b)) for a, b in edge_ids)
         n = len(self.edge_ids)
         eta_arr = np.broadcast_to(np.asarray(eta, dtype=float), (n,)).copy()
-        if np.any(~np.isfinite(eta_arr)) or np.any(eta_arr <= 0):
-            raise InputError("learning rate must be > 0")
+        # The state stays within [-2 eta, 1 + 2 eta]; NaN fails both tests.
+        if not np.all((eta_arr > 0) & (eta_arr <= ETA_MAX)):
+            raise InputError(ETA_ERROR)
         self.eta = eta_arr
+        self._twice_eta = 2.0 * eta_arr
         self.y = np.ones(n)
         self.s_hat = np.ones(n)
         self.cumulative_loss = np.zeros(n)
@@ -118,12 +124,14 @@ class SimilarityTracker:
 
     def _step(self, r, rev):
         err = np.where(rev, r - self.s_hat, 0.0)
-        losses = err**2
+        losses = err * err
         self.cumulative_loss += losses
         # Gradient of (s - s_hat)^2 at the played guess is -2 err; the
         # step lands on the carried pre-projection state.
-        self.y = self.y + 2.0 * self.eta * err
-        self.s_hat = np.clip(self.y, 0.0, 1.0)
+        err *= self._twice_eta
+        self.y += err
+        np.minimum(self.y, 1.0, out=self.s_hat)
+        np.maximum(self.s_hat, 0.0, out=self.s_hat)
         self.revealed_count += rev
         self.running_sum_revealed += np.where(rev, r, 0.0)
         return losses

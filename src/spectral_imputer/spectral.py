@@ -13,13 +13,17 @@ subspace individually; a requested dimension that would split such a group
 is widened to include it whole, which keeps pairwise embedding distances
 basis-independent.
 
-Up to DENSE_SOLVER_MAX nodes a batch of graphs shares dense batched
-`eigh` calls.  This dense route is the only code that runs on more than
-one thread: it splits the batch across `thread_cap()` workers, with
-numpy's bundled OpenBLAS pinned to one thread meanwhile, since BLAS
-threads and worker threads compete for the same cores.  Each matrix of a
-batched `eigh` is solved on its own, so the split changes no bit of the
-result.
+Up to DENSE_SOLVER_MAX nodes each graph is solved densely.  An embedding
+needs only the lowest r + 2 pairs, so from PARTIAL_SOLVER_MIN nodes each
+graph gets LAPACK's `dsyevr` for those alone (more while a degenerate
+group reaches the last one fetched), called through ctypes from numpy's
+bundled OpenBLAS; smaller graphs, or all of them where that symbol is
+missing, share batched full `eigh` calls.  This dense route is the only
+code that runs on more than one thread: it splits the batch across
+`thread_cap()` workers, with numpy's bundled OpenBLAS pinned to one
+thread meanwhile, since BLAS threads and worker threads compete for the
+same cores; a ctypes call, like `eigh`, runs without the GIL.  Each
+graph is solved on its own, so the split changes no bit of the result.
 
 Above DENSE_SOLVER_MAX each graph gets a shift-inverted partial solve
 (ARPACK's Lanczos through `eigsh`).  Its shifted matrix I - S A S - SHIFT I
@@ -44,8 +48,15 @@ import numpy as np
 from .errors import ConfigError, DegenerateDegreeError, InputError
 from .graph import ComponentPartition, FarmGraph
 
-# Full dense spectrum up to this many nodes; iterative partial solves beyond.
+# Dense eigensolves up to this many nodes; iterative partial solves beyond.
 DENSE_SOLVER_MAX = 200
+# From this many nodes the dense route asks LAPACK's `dsyevr` for each
+# graph's lowest pairs; below it one batched full `eigh` per chunk is
+# faster, as the per-graph call costs more than the pairs it skips.
+# King grids, r = 2, one thread of a 2-core x86 box, median us per graph
+# (eigh vs dsyevr): 16 nodes 50 vs 63, 18 nodes 67 vs 70, 20 nodes 84
+# vs 77, 24 nodes 128 vs 95.
+PARTIAL_SOLVER_MIN = 20
 # Eigenvalues within this of each other are treated as one degenerate group.
 DEGENERACY_TOL = 1e-9
 # Batched eigendecompositions take as many rows as keep one (B, n, n)
@@ -175,22 +186,55 @@ def thread_cap() -> int:
 
 
 @functools.cache
-def _openblas_thread_calls():
-    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
+def _openblas_symbols(*names):
+    """The named functions of numpy's bundled OpenBLAS, or None."""
     import glob
 
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
         try:
             lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            put = lib.scipy_openblas_set_num_threads64_
+            return tuple(getattr(lib, name) for name in names)
         except (OSError, AttributeError):
             continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        put.argtypes, put.restype = [ctypes.c_int], None
-        return get, put
     return None
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
+    calls = _openblas_symbols(
+        "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"
+    )
+    if calls is None:
+        return None
+    get, put = calls
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@functools.cache
+def _dsyevr():
+    """LAPACKE's `dsyevr_work` from numpy's bundled OpenBLAS, or None.
+
+    That build is ILP64: every LAPACK integer is 64 bits.  Like every
+    ctypes call, it runs without the GIL.
+    """
+    found = _openblas_symbols("scipy_LAPACKE_dsyevr_work64_")
+    if found is None:
+        return None
+    (solve,) = found
+    i64, ptr, f64 = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    char = ctypes.c_char
+    solve.argtypes = [
+        ctypes.c_int, char, char, char, i64,  # layout, jobz, range, uplo, n
+        ptr, i64, f64, f64, i64, i64, f64,  # a, lda, vl, vu, il, iu, abstol
+        ptr, ptr, ptr, i64, ptr,  # m, w, z, ldz, isuppz
+        ptr, i64, ptr, i64,  # work, lwork, iwork, liwork
+    ]
+    solve.restype = i64
+    return solve
 
 
 # The BLAS thread count is process-wide, so the pins that hold it are too.
@@ -238,7 +282,7 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
 
     The one place edge weights become coordinates.  Up to
     DENSE_SOLVER_MAX nodes, chunks of at most `batch_rows(n)` graphs
-    share batched dense eigendecompositions on `thread_cap()` workers;
+    are solved densely on `thread_cap()` workers (`_dense_coordinates`);
     above it, each graph's shifted matrix is written into a band on the
     edge set's cached reverse Cuthill-McKee layout, Cholesky-factored,
     and given its own shift-inverted partial solve, serially.  Each
@@ -313,9 +357,87 @@ def _coordinates(eigenvalues, u, s, r: int) -> np.ndarray:
 
 
 def _dense_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
-    """(B, n, k) coordinates from one batched full eigendecomposition."""
+    """(B, n, k) coordinates from dense eigensolves of a chunk of graphs.
+
+    From PARTIAL_SOLVER_MIN nodes each graph gets LAPACK's `dsyevr` for
+    its lowest pairs only; below it, or without that symbol, one batched
+    full `np.linalg.eigh` solves the chunk.
+    """
     a, s = _reduced_laplacians(weights, ei, ej, n)
-    return _coordinates(*np.linalg.eigh(a), s, r)
+    solve = _dsyevr() if n >= PARTIAL_SOLVER_MIN else None
+    if solve is None:
+        return _coordinates(*np.linalg.eigh(a), s, r)
+    return _coordinates(*_lowest_pairs(a, min(r, n - 1), solve), s, r)
+
+
+def _lowest_pairs(a, need: int, solve):
+    """`np.linalg.eigh(a)` cut to the lowest k >= need + 2 pairs, or to n.
+
+    Each graph of the (B, n, n) stack fetches pairs 1..need + 2 from
+    `dsyevr`, then twice as many, up to n, while the degenerate group of
+    pair `need` reaches the last pair fetched, so a graph's pairs depend
+    on that graph alone.  Graphs fetching fewer than the most are padded
+    with zeros, past the end of their widened groups.
+    """
+    count, n, _ = a.shape
+    fetch = _PairFetcher(solve, n)
+    k = min(n, need + 2)
+    vals, vecs = np.empty((count, k)), np.empty((count, k, n))
+    for b in range(count):
+        fetch(a[b], vals[b], vecs[b])
+    more = {}
+    for b in np.flatnonzero(widen_to_degenerate_group(vals, need) + 1 >= k):
+        w = vals[b]
+        while w.size < n and widen_to_degenerate_group(w, need) + 1 >= w.size:
+            size = min(n, 2 * w.size)
+            w, z = np.empty(size), np.empty((size, n))
+            fetch(a[b], w, z)
+            more[b] = w, z
+    if more:
+        k = max(w.size for w, _ in more.values())
+        vals = np.pad(vals, ((0, 0), (0, k - vals.shape[1])))
+        vecs = np.pad(vecs, ((0, 0), (0, k - vecs.shape[1]), (0, 0)))
+        for b, (w, z) in more.items():
+            vals[b, : w.size], vecs[b, : w.size] = w, z
+    return vals, vecs.transpose(0, 2, 1)
+
+
+class _PairFetcher:
+    """fetch(m, w, z): the lowest w.size eigenpairs of an (n, n) matrix.
+
+    Writes the eigenvalues, ascending, into w and eigenvector j into row
+    j of z; m, symmetric, is read and left intact.  The work arrays are
+    this fetcher's own, so fetchers on different threads run in
+    parallel; they live as long as it does, since LAPACK gets only their
+    addresses.  A failed solve (nonzero info) takes `np.linalg.eigh`'s.
+    """
+
+    def __init__(self, solve, n: int):
+        self.solve = solve
+        self.matrix, self.vectors = np.empty((n, n)), np.empty((n, n))
+        self.found, self.count = np.empty(n), np.empty(1, np.int64)
+        self.isuppz = np.empty(2 * n, np.int64)
+        lwork, liwork = np.empty(1), np.empty(1, np.int64)
+        # LAPACK reads the C-ordered matrix column-major, i.e. transposed:
+        # the same matrix, as it is symmetric.  Arguments before and after
+        # IU, the count of pairs fetched.
+        self.head = [102, b"V", b"I", b"L", n, self.matrix.ctypes.data, n, 0.0, 0.0, 1]
+        self.tail = [0.0, self.count.ctypes.data, self.found.ctypes.data]
+        self.tail += [self.vectors.ctypes.data, n, self.isuppz.ctypes.data]
+        query = [lwork.ctypes.data, -1, liwork.ctypes.data, -1]
+        solve(*self.head, n, *self.tail, *query)  # writes the work sizes
+        self.work = np.empty(int(lwork[0]))
+        self.iwork = np.empty(int(liwork[0]), np.int64)
+        self.tail += [self.work.ctypes.data, self.work.size]
+        self.tail += [self.iwork.ctypes.data, self.iwork.size]
+
+    def __call__(self, m, w, z):
+        np.copyto(self.matrix, m)
+        if self.solve(*self.head, w.size, *self.tail) == 0:
+            w[:], z[:] = self.found[: w.size], self.vectors[: w.size]
+        else:
+            full, u = np.linalg.eigh(m)
+            w[:], z[:] = full[: w.size], u[:, : w.size].T
 
 
 def _band_layout(ei, ej, n: int):

@@ -828,6 +828,29 @@ def test_cli_bad_thread_cap_single_line_error(tmp_path, monkeypatch, capsys):
     assert not out.exists() or list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("eta", ["1e308", "inf", "nan", "0"])
+@pytest.mark.parametrize(
+    "command", [["impute", "--method", "weighted_graph"],
+                ["evaluate", "--method", "weighted_graph"], ["regret"]]
+)
+def test_cli_learning_rate_out_of_range_single_line_error(tmp_path, capsys, command, eta):
+    # At 1e308 the tracker's state bound 1 + 2 eta overflows: every guess
+    # became NaN and the run still exited 0.
+    layout_csv = _layout_file(tmp_path)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(
+        [*command, "--layout", layout_csv, "--edges", edges, "--panel", masked_csv,
+         "--eta", eta, "--out", str(out)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: learning rate must be finite, in (0, 8.988e+307]\n"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_cli_evaluate_split_halves(tmp_path):
     layout_csv = _layout_file(tmp_path)
     masked_csv, _ = _simulate(tmp_path, layout_csv)

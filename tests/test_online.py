@@ -3,6 +3,7 @@ import pytest
 
 from spectral_imputer.errors import InputError, UndefinedBaselineError
 from spectral_imputer.online import (
+    ETA_MAX,
     SimilarityTracker,
     best_constant,
     regret,
@@ -92,6 +93,15 @@ class TestTrackerUpdates:
             tracker.update([0.5, 0.5])
         with pytest.raises(InputError):
             SimilarityTracker([("a", "b")], eta=0.0)
+
+    def test_largest_learning_rate_keeps_the_state_finite(self):
+        tracker = SimilarityTracker([("a", "b"), ("b", "c")], eta=ETA_MAX)
+        for revealed in ([0.0, 1.0], [1.0, 0.0], [0.0, np.nan], [1.0, 1.0]):
+            tracker.update(revealed)
+            assert np.isfinite(tracker.y).all()
+        for eta in (np.nextafter(ETA_MAX, np.inf), np.inf, np.nan, [0.5, np.inf]):
+            with pytest.raises(InputError, match="finite"):
+                SimilarityTracker([("a", "b"), ("b", "c")], eta=eta)
 
     def test_batched_lanes_match_single_edges(self):
         rng = np.random.default_rng(4)

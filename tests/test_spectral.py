@@ -1,3 +1,5 @@
+import glob
+import os
 import sys
 import threading
 
@@ -436,6 +438,137 @@ def _mixed_batch(count=250):
         weights[rng.random(count) < 0.1] = 1.0
         batches.append((weights, ei, ej, n))
     return batches
+
+
+def _king_batch(rows, cols, count, seed, uniform=()):
+    """A rows x cols king grid under `count` random weightings; the rows
+    listed in `uniform` get weight 1 on every edge."""
+    layout = grid_layout(rows, cols)
+    ei, ej = build_graph(layout, propose_grid_edges(layout, "king")).edge_index_arrays()
+    weights = np.random.default_rng(seed).uniform(0.1, 1.0, (count, ei.size))
+    weights[list(uniform)] = 1.0
+    return weights, ei, ej, rows * cols
+
+
+def _complete_batch(n, count, seed):
+    """The complete graph on n nodes: uniform in row 1, whose spectrum is
+    0 and one (n - 1)-fold eigenvalue, random in the others."""
+    ei, ej = np.tril_indices(n, -1)
+    weights = np.random.default_rng(seed).uniform(0.1, 1.0, (count, ei.size))
+    weights[1] = 1.0
+    return weights, ei, ej, n
+
+
+def _widths(coords):
+    """Each row's effective dimension: its columns not all zero."""
+    return (coords != 0).any(axis=1).sum(axis=1)
+
+
+def _partial_cases():
+    return [
+        *_mixed_batch(),
+        _king_batch(5, 7, 60, 31),
+        _king_batch(10, 10, 4, 37, uniform=(0, 2)),
+        _complete_batch(24, 4, 41),
+    ]
+
+
+class TestPartialSolve:
+    """From PARTIAL_SOLVER_MIN nodes the dense route fetches each graph's
+    lowest pairs from the bundled LAPACKE `dsyevr`."""
+
+    @pytest.fixture(autouse=True)
+    def _everywhere(self, monkeypatch):
+        if spectral._dsyevr() is None:
+            pytest.skip("numpy's bundled OpenBLAS has no LAPACKE dsyevr")
+        monkeypatch.setattr(spectral, "PARTIAL_SOLVER_MIN", 2)
+
+    @staticmethod
+    def _full(monkeypatch, weights, ei, ej, n, r):
+        with monkeypatch.context() as patched:
+            patched.setattr(spectral, "_dsyevr", lambda: None)
+            return batched_coordinates(weights, ei, ej, n, r)
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_distances_match_the_full_eigh(self, monkeypatch, r):
+        for weights, ei, ej, n in _partial_cases():
+            got = batched_coordinates(weights, ei, ej, n, r)
+            want = self._full(monkeypatch, weights, ei, ej, n, r)
+            assert got.shape == want.shape
+            assert np.array_equal(_widths(got), _widths(want))
+            for target in range(0, n, 3):
+                targets = [target] * len(weights)
+                assert np.allclose(
+                    target_distances(got, targets), target_distances(want, targets),
+                    rtol=0.0, atol=1e-12,
+                )
+
+    def test_fetches_more_pairs_while_a_group_reaches_the_last(self, monkeypatch):
+        weights, ei, ej, n = _complete_batch(24, 4, 41)
+        sizes = []
+        fetch = spectral._PairFetcher.__call__
+
+        def spy(self, m, w, z):
+            sizes.append(w.size)
+            return fetch(self, m, w, z)
+
+        monkeypatch.setattr(spectral._PairFetcher, "__call__", spy)
+        monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "1")
+        coords = batched_coordinates(weights, ei, ej, n, 2)
+        # Four graphs at r + 2 = 4 pairs, then the uniform one at 8, 16, 24.
+        assert sizes == [4, 4, 4, 4, 8, 16, 24]
+        assert _widths(coords).tolist() == [2, n - 1, 2, 2]
+
+    def test_failed_solve_takes_eigh_for_that_graph_alone(self, monkeypatch):
+        weights, ei, ej, n = _king_batch(5, 7, 6, 43, uniform=(3,))
+        want = self._full(monkeypatch, weights, ei, ej, n, 2)
+        solve = spectral._dsyevr()
+        solves = []
+
+        def fail_third(*args):
+            if args[18] != -1:  # not a workspace query
+                solves.append(None)
+                if len(solves) == 3:
+                    return 1
+            return solve(*args)
+
+        monkeypatch.setattr(spectral, "_dsyevr", lambda: fail_third)
+        monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "1")
+        got = batched_coordinates(weights, ei, ej, n, 2)
+        assert len(solves) == len(weights)
+        assert np.array_equal(got[2], want[2])
+        assert not np.array_equal(np.abs(got[0]), np.abs(want[0]))  # solved apart
+        for target in range(n):
+            targets = [target] * len(weights)
+            assert np.allclose(
+                target_distances(got, targets), target_distances(want, targets),
+                rtol=0.0, atol=1e-12,
+            )
+
+    @pytest.mark.parametrize("batch_bytes", [spectral.BATCH_BYTES, 30000])
+    def test_bits_do_not_depend_on_the_cap(self, monkeypatch, blas, batch_bytes):
+        # 30000 bytes hold 3 rows of 5x7 and 6 of 24 nodes, so the
+        # refetched uniform rows share chunks with others or not.
+        monkeypatch.setattr(spectral, "BATCH_BYTES", batch_bytes)
+        cases = (_king_batch(5, 7, 40, 47, (5, 6)), _complete_batch(24, 20, 53))
+        for weights, ei, ej, n in cases:
+            runs = []
+            for threads in ("1", "2", "3"):
+                monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", threads)
+                runs.append(batched_coordinates(weights, ei, ej, n, 2))
+            alone = [batched_coordinates(w[None], ei, ej, n, 2)[0] for w in weights[:8]]
+            for run in runs[1:]:
+                assert np.array_equal(run, runs[0])
+            for b, coords in enumerate(alone):
+                assert np.array_equal(runs[0][b, :, : coords.shape[1]], coords)
+
+
+def test_dense_solver_found_with_numpy_openblas():
+    # A wheel whose OpenBLAS lost the symbol would fall back to the full
+    # eigh silently; this names it.
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    bundled = glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))
+    assert (spectral._dsyevr() is not None) == bool(bundled)
 
 
 class TestEngineThreads:
