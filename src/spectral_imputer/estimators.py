@@ -288,15 +288,11 @@ class _FixedDistanceEstimator:
         return _kernel_fill(self.kind, dist, values[rows], obs)
 
 
-def instantaneous_similarity(a, b):
-    """Similarity of two normalized readings: 1 - |a - b|."""
-    return 1.0 - np.abs(a - b)
-
-
 def _edge_similarities(values, obs, ei, ej, unrevealed):
-    """(B, E) similarity of each edge whose ends are both observed, else `unrevealed`."""
+    """(B, E) similarity 1 - |a - b| of each edge's normalized readings a, b
+    where both ends are observed, else `unrevealed`."""
     both = obs[:, ei] & obs[:, ej]
-    return np.where(both, instantaneous_similarity(values[:, ei], values[:, ej]), unrevealed)
+    return np.where(both, 1.0 - np.abs(values[:, ei] - values[:, ej]), unrevealed)
 
 
 class _WeightedRowImputer:

@@ -29,7 +29,6 @@ from .estimators import (
 from .graph import FarmGraph, FarmLayout, build_graph, propose_grid_edges
 from .online import SimilarityTracker
 from .spectral import batch_rows, single_blas_thread
-from .spectral import thread_cap  # noqa: F401  (re-exported)
 
 SETUPS = ("complete", "incomplete")
 
@@ -54,18 +53,17 @@ def rmse(truth: np.ndarray, estimates: np.ndarray) -> float:
 SPLITS = ("all", "first", "second")
 
 
-def split_rows(t_len: int, split: str, fraction: float = 0.5) -> np.ndarray:
+def split_rows(t_len: int, split: str) -> np.ndarray:
     """(T,) bool mask selecting a row-index portion of a panel.
 
-    "first" keeps the leading `fraction` of rows, "second" the rest, and
-    "all" everything, so a validation/test boundary is just an index cut.
+    "first" keeps the leading half of the rows (rounded half to even),
+    "second" the rest, and "all" everything, so a validation/test
+    boundary is just an index cut.
     """
     if split not in SPLITS:
         raise ConfigError(f"unknown split {split!r}; choose from {', '.join(SPLITS)}")
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError("split fraction must lie in (0, 1)")
     keep = np.zeros(t_len, dtype=bool)
-    cut = int(round(t_len * fraction))
+    cut = round(t_len / 2)
     if split == "all":
         keep[:] = True
     elif split == "first":
@@ -95,16 +93,6 @@ def scorable_cells(
     if within is not None:
         ok &= np.asarray(within, dtype=bool)[:, None]
     return ok
-
-
-def scorable_rows(
-    mask: np.ndarray, col: int, setup: str, within: np.ndarray | None = None
-) -> np.ndarray:
-    """Row indices where hiding `col` leaves a scorable estimate.
-
-    See `scorable_cells` for which rows qualify under each `setup`.
-    """
-    return np.flatnonzero(scorable_cells(mask, setup, within)[:, col])
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +208,7 @@ def leave_one_out_eval(
 
     The configured estimator and the equal-weight mean baseline are both
     scored on the same cells.  Which cells qualify depends on `setup`;
-    see `scorable_rows`.  `within` restricts scoring to a row subset
+    see `scorable_cells`.  `within` restricts scoring to a row subset
     (for a validation/test boundary); the similarity tracker still runs
     over the whole stream, since restricting what is scored does not
     change what the estimator would have seen.
@@ -361,8 +349,10 @@ class MissingnessSpec:
             )
         if not 0.0 <= self.rate < 1.0:
             raise ConfigError("missingness rate must lie in [0, 1)")
-        if not self.block_mean >= 1.0:
-            raise ConfigError("mean outage length must be >= 1")
+        if not 1.0 <= self.block_mean < np.inf:
+            raise ConfigError("mean outage length must be finite and >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def apply_missingness(panel: Panel, spec: MissingnessSpec) -> Panel:
@@ -384,7 +374,7 @@ def apply_missingness(panel: Panel, spec: MissingnessSpec) -> Panel:
             starts = np.flatnonzero(rng.random(t) < spec.rate)
             if starts.size == 0:
                 continue
-            lengths = rng.geometric(1.0 / spec.block_mean, size=starts.size)
+            lengths = np.minimum(rng.geometric(1.0 / spec.block_mean, size=starts.size), t)
             for start, length in zip(starts, lengths):
                 mask[start : start + length, col] = False
     values = np.where(mask, panel.values, np.nan)
@@ -419,10 +409,15 @@ def synth_panel(
     for name, scale in (("driver", driver_scale), ("noise", noise_scale)):
         if not 0.0 <= scale < np.inf:
             raise ConfigError(f"{name} scale must be finite and >= 0")
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     n = layout.n
     d = geo_distance_matrix(layout)
-    cov = np.exp(-((d / spatial_scale) ** 2))
+    # Extreme scales saturate, the covariance to I and readings to 0 or 1;
+    # a NaN from inf - inf is left for `Panel` to reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = np.exp(-((d / spatial_scale) ** 2))
     phi = temporal_persistence
     innovation = np.sqrt(1.0 - phi**2)
     driver = np.empty(t_len)
@@ -436,8 +431,9 @@ def synth_panel(
         for t in range(1, t_len):
             driver[t] = phi * driver[t - 1] + innovation * rng.standard_normal()
             field[t] = phi * field[t - 1] + innovation * (factor @ rng.standard_normal(n))
-    signal = driver_scale * driver[:, None] + noise_scale * field
-    values = 1.0 / (1.0 + np.exp(-signal))
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = driver_scale * driver[:, None] + noise_scale * field
+        values = 1.0 / (1.0 + np.exp(-signal))
     timestamps = tuple(str(float(t)) for t in range(t_len))
     return Panel(timestamps, layout.ids, values, np.ones((t_len, n), dtype=bool))
 

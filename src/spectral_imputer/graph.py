@@ -201,6 +201,7 @@ def component_labels(n: int, ei, ej) -> np.ndarray:
     Labels are assigned in order of each component's smallest member, so
     label 0 always contains node 0.
     """
+    # Not scipy's csgraph: importing it would more than double `graph`'s start-up.
     uf = _UnionFind(n)
     for a, b in zip(ei, ej):
         uf.union(int(a), int(b))
@@ -233,21 +234,8 @@ class ComponentPartition:
         return max(self.labels) + 1 if self.labels else 0
 
     @property
-    def component_sizes(self) -> tuple[int, ...]:
-        sizes = [0] * self.count
-        for lab in self.labels:
-            sizes[lab] += 1
-        return tuple(sizes)
-
-    @property
     def assignments(self) -> dict[str, int]:
         return dict(zip(self.node_ids, self.labels))
-
-    def members(self, component: int) -> tuple[int, ...]:
-        """Node indices of one component, ascending."""
-        return tuple(
-            i for i, lab in enumerate(self.labels) if lab == component
-        )
 
 
 def components(graph: FarmGraph, weight_floor: float = 0.0) -> ComponentPartition:

@@ -149,15 +149,6 @@ def read_layout(path) -> FarmLayout:
     return FarmLayout(tuple(sensors))
 
 
-def write_layout(path, layout: FarmLayout) -> None:
-    rows = [LAYOUT_HEADER]
-    for s in layout.sensors:
-        rows.append(
-            (s.sensor_id, _fmt(s.latitude), _fmt(s.longitude), _fmt(s.nominal_capacity))
-        )
-    atomic_write_text(path, _csv_text(rows))
-
-
 def read_edge_list(path):
     """Edge CSV: from,to with an optional weight column.
 
@@ -199,10 +190,6 @@ def edge_list_csv_text(graph: FarmGraph) -> str:
         for (a, b), w in zip(graph.edge_ids, graph.weight_array()):
             rows.append((a, b, _fmt(w)))
     return _csv_text(rows)
-
-
-def write_edge_list(path, graph: FarmGraph) -> None:
-    atomic_write_text(path, edge_list_csv_text(graph))
 
 
 def components_csv_text(partition) -> str:
@@ -356,10 +343,6 @@ def panel_csv_text(panel: Panel, layout: FarmLayout) -> str:
     return _panel_csv(panel.sensor_ids, panel.timestamps, rows)
 
 
-def write_panel(path, panel: Panel, layout: FarmLayout) -> None:
-    atomic_write_text(path, panel_csv_text(panel, layout))
-
-
 def imputation_to_panel(result: ImputationResult) -> Panel:
     """The filled values as a panel; still-missing cells stay masked."""
     mask = np.isfinite(result.filled)
@@ -395,12 +378,13 @@ def embedding_csv_text(embeddings) -> str:
     return _csv_text(rows)
 
 
-def embedding_svg_text(embeddings, size: int = 720, margin: int = 60) -> str:
-    """Deterministic SVG scatter of the first two embedding coordinates.
+def embedding_svg_text(embeddings) -> str:
+    """Deterministic 720-pixel SVG scatter of the first two embedding coordinates.
 
     One-dimensional embeddings plot on a line.  Points carry their node
     id as a text label.
     """
+    size, margin = 720, 60
     points = []
     for emb in embeddings:
         for node, coords in emb.coordinates.items():
@@ -562,10 +546,6 @@ def checkpoint_csv_text(tracker: SimilarityTracker) -> str:
             )
         )
     return _csv_text(rows)
-
-
-def write_checkpoint(path, tracker: SimilarityTracker) -> None:
-    atomic_write_text(path, checkpoint_csv_text(tracker))
 
 
 def read_checkpoint(path, graph: FarmGraph, eta=0.5) -> SimilarityTracker:

@@ -39,18 +39,6 @@ def _as_similarities(values, n, ndim):
     return r, ~missing
 
 
-@dataclass(frozen=True)
-class EdgeState:
-    """Snapshot of one edge's tracker state."""
-
-    edge: tuple[str, str]
-    guess: float
-    pre_projection: float
-    cumulative_loss: float
-    revealed_count: int
-    running_sum_revealed: float
-
-
 class SimilarityTracker:
     """Tracks one similarity guess per edge of a fixed edge set.
 
@@ -136,25 +124,6 @@ class SimilarityTracker:
         self.running_sum_revealed += np.where(rev, r, 0.0)
         return losses
 
-    def edge_state(self, a: str, b: str) -> EdgeState:
-        """Snapshot for the edge (a, b), order-insensitive.
-
-        Raises:
-            KeyError: if the pair is not tracked.
-        """
-        want = {a, b}
-        for k, pair in enumerate(self.edge_ids):
-            if set(pair) == want:
-                return EdgeState(
-                    edge=pair,
-                    guess=float(self.s_hat[k]),
-                    pre_projection=float(self.y[k]),
-                    cumulative_loss=float(self.cumulative_loss[k]),
-                    revealed_count=int(self.revealed_count[k]),
-                    running_sum_revealed=float(self.running_sum_revealed[k]),
-                )
-        raise KeyError(f"edge ({a!r}, {b!r}) is not tracked")
-
 
 def track_sequence(similarities, eta):
     """Run a fresh tracker over a (T, E) similarity history.
@@ -199,13 +168,6 @@ def regret(losses, history) -> float:
     rev = ~np.isnan(h)
     best = float(np.sum((h[rev] - c) ** 2))
     return float(losses.sum()) - best
-
-
-def theoretical_rate(count: int) -> float:
-    """Learning rate tuned to a known revealed-round count."""
-    if count < 1:
-        raise InputError("revealed-round count must be >= 1")
-    return 1.0 / (2.0 * np.sqrt(count))
 
 
 @dataclass(frozen=True)

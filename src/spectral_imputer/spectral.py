@@ -135,15 +135,15 @@ def solve_generalized(L, D) -> EigenSolution:
     return EigenSolution(eigenvalues, vectors)
 
 
-def widen_to_degenerate_group(eigenvalues, k, tol=DEGENERACY_TOL):
+def widen_to_degenerate_group(eigenvalues, k):
     """Smallest k' >= k such that eigenvectors 1..k' cover whole groups.
 
     `k` counts embedding dimensions, i.e. eigenvector indices 1..k are in
-    use; the group containing index k is extended until a gap > tol.
-    Eigenvalues ascend along the last axis; any leading axes are a batch,
-    and the result has their shape.
+    use; the group containing index k is extended until a gap >
+    DEGENERACY_TOL.  Eigenvalues ascend along the last axis; any leading
+    axes are a batch, and the result has their shape.
     """
-    chained = np.diff(np.asarray(eigenvalues)[..., k:], axis=-1) <= tol
+    chained = np.diff(np.asarray(eigenvalues)[..., k:], axis=-1) <= DEGENERACY_TOL
     return k + np.cumprod(chained, axis=-1).sum(axis=-1)
 
 
@@ -244,9 +244,18 @@ _pin_saved = None
 
 
 @contextlib.contextmanager
-def _blas_pinned(calls):
-    """Hold BLAS at one thread; the last of overlapping holders restores it."""
+def single_blas_thread():
+    """Hold numpy's OpenBLAS at one thread for a block; a no-op without it.
+
+    Small BLAS calls run faster on one thread than on several, and the
+    result does not depend on the count.  The last of overlapping
+    holders restores the count.
+    """
     global _pin_holders, _pin_saved
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
     get, put = calls
     with _pin_lock:
         if _pin_holders == 0:
@@ -260,16 +269,6 @@ def _blas_pinned(calls):
             _pin_holders -= 1
             if _pin_holders == 0:
                 put(_pin_saved)
-
-
-def single_blas_thread():
-    """Hold numpy's OpenBLAS at one thread for a block; a no-op without it.
-
-    Small BLAS calls run faster on one thread than on several, and the
-    result does not depend on the count.
-    """
-    calls = _openblas_thread_calls()
-    return contextlib.nullcontext() if calls is None else _blas_pinned(calls)
 
 
 def batch_rows(n: int) -> int:
@@ -317,7 +316,8 @@ def _dense_chunks(weights, ei, ej, n: int, r: int) -> list[np.ndarray]:
     The chunks are near-equal, at most `batch_rows(n)` graphs each, and
     their count is a multiple of `thread_cap()`, so the workers get equal
     shares.  Runs serially with one worker, one chunk, or no OpenBLAS
-    thread control: unpinned, worker threads are slower than one thread.
+    thread control (unpinned, worker threads are slower than one thread).
+    Where that control exists, both paths hold BLAS at one thread.
     """
     workers = thread_cap()
     if len(weights) == 0:
@@ -325,13 +325,13 @@ def _dense_chunks(weights, ei, ej, n: int, r: int) -> list[np.ndarray]:
     needed = -(-len(weights) // batch_rows(n))
     chunks = np.array_split(weights, min(len(weights), -(-needed // workers) * workers))
     run = functools.partial(_dense_coordinates, ei=ei, ej=ej, n=n, r=r)
-    calls = _openblas_thread_calls()
-    if workers == 1 or len(chunks) == 1 or calls is None:
-        return [run(chunk) for chunk in chunks]
-    from concurrent.futures import ThreadPoolExecutor  # kept off the import path
+    with single_blas_thread():
+        if workers == 1 or len(chunks) == 1 or _openblas_thread_calls() is None:
+            return [run(chunk) for chunk in chunks]
+        from concurrent.futures import ThreadPoolExecutor  # kept off the import path
 
-    with _blas_pinned(calls), ThreadPoolExecutor(min(workers, len(chunks))) as pool:
-        return list(pool.map(run, chunks))
+        with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
+            return list(pool.map(run, chunks))
 
 
 def _reduced_laplacians(weights, ei, ej, n: int):

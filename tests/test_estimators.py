@@ -273,7 +273,7 @@ class TestWeightedGraph:
             [[1.0, 0.0, 0.0], [np.nan, 0.4, 0.4]], layout.ids
         )
         res, tracker = impute_weighted_graph(p, graph, kind="triangular", r=1)
-        assert tracker.edge_state("s00", "s01").guess == 0.0
+        assert tracker.edge_ids[0] == ("s00", "s01") and tracker.guesses[0] == 0.0
         assert res.filled[1, 0] == pytest.approx(0.4, abs=1e-12)
         assert res.provenance[1, 0] == int(Provenance.STATIC_GRAPH_FALLBACK)
 

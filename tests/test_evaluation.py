@@ -22,13 +22,13 @@ from spectral_imputer.evaluation import (
     complexity_smoke,
     leave_one_out_eval,
     rmse,
-    scorable_rows,
+    scorable_cells,
     split_rows,
     sweep,
     synth_panel,
-    thread_cap,
 )
 from spectral_imputer.graph import build_graph, propose_grid_edges
+from spectral_imputer.spectral import thread_cap
 
 from conftest import grid_layout, make_layout
 
@@ -62,18 +62,18 @@ def test_scorable_rows_complete_and_incomplete():
             [False, True, False],
         ]
     )
-    assert scorable_rows(mask, 0, "complete").tolist() == [0]
+    assert np.flatnonzero(scorable_cells(mask, "complete")[:, 0]).tolist() == [0]
     # col 0 observed with at least one other: rows 0 and 1
-    assert scorable_rows(mask, 0, "incomplete").tolist() == [0, 1]
+    assert np.flatnonzero(scorable_cells(mask, "incomplete")[:, 0]).tolist() == [0, 1]
     # col 2 observed alone never happens; row 2 has col 0 only
-    assert scorable_rows(mask, 2, "incomplete").tolist() == [0, 1]
+    assert np.flatnonzero(scorable_cells(mask, "incomplete")[:, 2]).tolist() == [0, 1]
     # col 1 at row 3 is the only observation in its row: not scorable
-    assert scorable_rows(mask, 1, "incomplete").tolist() == [0]
+    assert np.flatnonzero(scorable_cells(mask, "incomplete")[:, 1]).tolist() == [0]
 
 
 def test_scorable_rows_unknown_setup():
     with pytest.raises(ConfigError):
-        scorable_rows(np.ones((2, 2), dtype=bool), 0, "both")
+        scorable_cells(np.ones((2, 2), dtype=bool), "both")
 
 
 def test_missingness_spec_validation():
@@ -83,8 +83,11 @@ def test_missingness_spec_validation():
         MissingnessSpec(rate=1.0)
     with pytest.raises(ConfigError):
         MissingnessSpec(rate=-0.1)
-    with pytest.raises(ConfigError):
-        MissingnessSpec(mechanism="block", block_mean=0.5)
+    for block_mean in (0.5, np.inf, np.nan):
+        with pytest.raises(ConfigError, match="outage length"):
+            MissingnessSpec(mechanism="block", block_mean=block_mean)
+    with pytest.raises(ConfigError, match="seed"):
+        MissingnessSpec(seed=-1)
 
 
 def test_apply_missingness_reproducible_and_bounded():
@@ -216,7 +219,7 @@ def test_eval_scored_counts_match_scorable_rows():
     for setup in ("complete", "incomplete"):
         rep = leave_one_out_eval(panel, EstimatorConfig(method="naive"), setup)
         for col in range(panel.n_sensors):
-            assert rep.scored_counts[col] == scorable_rows(panel.mask, col, setup).size
+            assert rep.scored_counts[col] == scorable_cells(panel.mask, setup)[:, col].sum()
 
 
 def test_eval_matches_per_cell_estimator_runs():
@@ -231,7 +234,7 @@ def test_eval_matches_per_cell_estimator_runs():
                 cfg = EstimatorConfig(method=method, kernel=kind, r=r)
                 rep = leave_one_out_eval(panel, cfg, setup, layout=layout, graph=graph)
                 for col in range(panel.n_sensors):
-                    rows = scorable_rows(panel.mask, col, setup)
+                    rows = np.flatnonzero(scorable_cells(panel.mask, setup)[:, col])
                     if rows.size == 0:
                         continue
                     estimates = []
@@ -265,7 +268,7 @@ def test_eval_routes_weighted_rows_as_impute_does(monkeypatch, shape, dense_max)
     rep = leave_one_out_eval(panel, cfg, "complete", graph=graph)
     tags = np.zeros(len(Provenance), dtype=int)
     for col in range(panel.n_sensors):
-        rows = scorable_rows(panel.mask, col, "complete")
+        rows = np.flatnonzero(scorable_cells(panel.mask, "complete")[:, col])
         estimates = []
         for t in rows:
             values = panel.values.copy()
@@ -469,12 +472,10 @@ def test_split_rows_partitions():
     assert not (first & second).any()
     assert (first | second).all()
     assert split_rows(10, "all").all()
-    odd_first = split_rows(7, "first", fraction=0.5)
+    odd_first = split_rows(7, "first")
     assert odd_first.sum() == 4
     with pytest.raises(ConfigError):
         split_rows(10, "middle")
-    with pytest.raises(ConfigError):
-        split_rows(10, "first", fraction=1.0)
 
 
 def test_eval_within_restricts_scored_rows():
@@ -491,7 +492,7 @@ def test_eval_within_restricts_scored_rows():
     ).all()
     for part, half in zip(parts, halves):
         for col in range(panel.n_sensors):
-            rows = scorable_rows(panel.mask, col, "complete", within=half)
+            rows = np.flatnonzero(scorable_cells(panel.mask, "complete", half)[:, col])
             assert part.scored_counts[col] == rows.size
             assert half[rows].all()
 
@@ -507,7 +508,7 @@ def test_eval_within_still_tracks_every_row(monkeypatch):
     cfg = EstimatorConfig(method="weighted_graph")
     rep = leave_one_out_eval(panel, cfg, "complete", graph=graph, within=within)
     for col in range(panel.n_sensors):
-        rows = scorable_rows(panel.mask, col, "complete", within)
+        rows = np.flatnonzero(scorable_cells(panel.mask, "complete", within)[:, col])
         assert rows.size > 0
         estimates = []
         for t in rows:

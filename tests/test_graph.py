@@ -91,8 +91,6 @@ def test_components_triangle_plus_isolate():
     )
     part = components(g)
     assert part.labels == (0, 0, 0, 1)
-    assert part.component_sizes == (3, 1)
-    assert part.members(0) == (0, 1, 2)
     assert part.assignments["s03"] == 1
 
 

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from datetime import datetime
 
 import numpy as np
@@ -35,6 +37,7 @@ from spectral_imputer.graph import (
 from spectral_imputer.io import (
     atomic_write_text,
     checkpoint_csv_text,
+    edge_list_csv_text,
     embedding_csv_text,
     embedding_svg_text,
     imputation_to_panel,
@@ -51,10 +54,6 @@ from spectral_imputer.io import (
     regret_csv_text,
     report_csv_text,
     report_json_text,
-    write_checkpoint,
-    write_edge_list,
-    write_layout,
-    write_panel,
 )
 from spectral_imputer.online import regret_curve
 from spectral_imputer.spectral import embed
@@ -80,8 +79,13 @@ def _grid_setup(rows, cols, spacing=1.0):
 
 def test_layout_round_trip(tmp_path):
     layout = grid_layout(2, 3, spacing=0.5)
+    rows = [
+        f"{s.sensor_id},{s.latitude!r},{s.longitude!r},{s.nominal_capacity!r}"
+        for s in layout.sensors
+    ]
+    text = "sensor_id,latitude,longitude,nominal_capacity\n" + "\n".join(rows) + "\n"
     path = tmp_path / "layout.csv"
-    write_layout(path, layout)
+    atomic_write_text(path, text)
     again = read_layout(path)
     assert again == layout
 
@@ -104,7 +108,7 @@ def test_layout_bad_float_names_line(tmp_path):
 def test_edge_list_round_trip_unweighted(tmp_path):
     layout, graph = _grid_setup(2, 2)
     path = tmp_path / "edges.csv"
-    write_edge_list(path, graph)
+    atomic_write_text(path, edge_list_csv_text(graph))
     pairs, weights = read_edge_list(path)
     assert weights is None
     assert build_graph(layout, pairs) == graph
@@ -115,7 +119,7 @@ def test_edge_list_round_trip_weighted(tmp_path):
     rng = np.random.default_rng(0)
     graph = bare.with_weights(rng.uniform(0.1, 1.0, len(bare.edges)))
     path = tmp_path / "edges.csv"
-    write_edge_list(path, graph)
+    atomic_write_text(path, edge_list_csv_text(graph))
     pairs, weights = read_edge_list(path)
     again = build_graph(layout, pairs).with_weights(weights)
     assert again == graph
@@ -321,7 +325,7 @@ def test_panel_write_load_round_trip_bit_exact(tmp_path):
     holed = apply_missingness(full, MissingnessSpec("mcar", 0.2, seed=9))
     panel = quantize_panel(holed, layout)
     path = tmp_path / "panel.csv"
-    write_panel(path, panel, layout)
+    atomic_write_text(path, panel_csv_text(panel, layout))
     again, clamped = load_panel(path, layout)
     assert clamped == 0
     assert again.timestamps == panel.timestamps
@@ -386,12 +390,12 @@ def test_quantize_panel_idempotent_and_close(tmp_path):
     assert np.nanmax(np.abs(once.values - full.values)) < 1e-15
 
 
-def test_write_panel_rejects_wrong_layout(tmp_path):
+def test_panel_csv_text_rejects_wrong_layout():
     layout = grid_layout(2, 2)
     other = grid_layout(2, 3)
     panel = synth_panel(layout, 5, spatial_scale=1.0, temporal_persistence=0.3, seed=0)
-    with pytest.raises(InputError):
-        write_panel(tmp_path / "p.csv", panel, other)
+    with pytest.raises(InputError, match="do not match the layout"):
+        panel_csv_text(panel, other)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +505,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     layout, graph = _grid_setup(2, 3)
     _, tracker = _run_tracker(layout, graph, 20)
     path = tmp_path / "ck.csv"
-    write_checkpoint(path, tracker)
+    atomic_write_text(path, checkpoint_csv_text(tracker))
     again = read_checkpoint(path, graph, eta=0.5)
     assert again.edge_ids == tracker.edge_ids
     for name in ("y", "s_hat", "cumulative_loss", "running_sum_revealed"):
@@ -526,7 +530,7 @@ def test_checkpoint_resume_matches_uninterrupted_run(tmp_path):
     )
     _, tracker_first = impute_weighted_graph(first, graph)
     path = tmp_path / "ck.csv"
-    write_checkpoint(path, tracker_first)
+    atomic_write_text(path, checkpoint_csv_text(tracker_first))
     resumed = read_checkpoint(path, graph, eta=0.5)
     out, tracker_final = impute_weighted_graph(second, graph, tracker=resumed)
     assert np.array_equal(out.filled, whole.filled[half:], equal_nan=True)
@@ -923,6 +927,9 @@ def test_cli_simulate_deterministic(tmp_path):
         (["--noise-scale", "nan"], "noise scale"),
         (["--driver-scale", "inf"], "driver scale"),
         (["--noise-scale", "-1"], "noise scale"),
+        (["--mechanism", "block", "--block-mean", "inf"], "outage length"),
+        (["--seed", "-1"], "seed"),
+        (["--driver-scale", "1e308", "--noise-scale", "1e308", "--seed", "3"], "finite"),
     ],
 )
 def test_cli_simulate_rejects_nan_settings(tmp_path, capsys, flags, message):
@@ -936,6 +943,45 @@ def test_cli_simulate_rejects_nan_settings(tmp_path, capsys, flags, message):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and message in err
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("flags", [["--spatial-scale", "1e-300"], ["--driver-scale", "1e308"]])
+def test_cli_simulate_saturating_scales_warn_nothing(tmp_path, capsys, flags):
+    # The covariance saturates to the identity, the readings to 0 or 1.
+    layout_csv = _layout_file(tmp_path)
+    rc = main(
+        ["simulate", "--layout", layout_csv, "--t-len", "20", "--spatial-scale", "1.5",
+         "--persistence", "0.6", *flags, "--out", str(tmp_path / "sim")]
+    )
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+
+
+_NO_SCIPY_SCRIPT = """
+import sys
+from spectral_imputer.cli import main
+layout, graph_out, embed_out = sys.argv[1:]
+assert main(["graph", "--layout", layout, "--propose", "king", "--out", graph_out]) == 0
+edges = graph_out + "/edges.csv"
+assert main(["embed", "--layout", layout, "--edges", edges, "--out", embed_out]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+def test_graph_and_embed_import_no_scipy(tmp_path):
+    """On a 5x7 farm, `graph --propose king` and `embed` never import
+    scipy: its import would more than double a `graph` run's start-up."""
+    layout_csv = _layout_file(tmp_path, rows=5, cols=7)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, layout_csv,
+         str(tmp_path / "graph"), str(tmp_path / "embed")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_graph_rejects_nan_weight_floor(tmp_path, capsys):

@@ -14,9 +14,9 @@ from spectral_imputer.estimators import (
     Provenance,
     run_estimator,
 )
-from spectral_imputer.evaluation import SETUPS, leave_one_out_eval, scorable_rows
+from spectral_imputer.evaluation import SETUPS, leave_one_out_eval, scorable_cells
 from spectral_imputer.graph import FarmLayout, Sensor, build_graph
-from spectral_imputer.io import load_panel, quantize_panel, write_panel
+from spectral_imputer.io import atomic_write_text, load_panel, panel_csv_text, quantize_panel
 
 capacities = st.floats(min_value=1e-3, max_value=1e5, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -44,7 +44,7 @@ def test_panel_survives_csv_round_trip(tmp_path_factory, drawn):
     layout, panel = drawn
     panel = quantize_panel(panel, layout)
     path = tmp_path_factory.mktemp("round_trip") / "panel.csv"
-    write_panel(path, panel, layout)
+    atomic_write_text(path, panel_csv_text(panel, layout))
     again, clamped = load_panel(path, layout)
     assert clamped == 0
     assert again.timestamps == panel.timestamps
@@ -94,7 +94,7 @@ def test_leave_one_out_is_impute_with_the_cell_hidden(drawn):
             report = leave_one_out_eval(panel, config, setup, layout=layout, graph=graph)
             tags = np.zeros(len(Provenance), dtype=int)
             for col in range(panel.n_sensors):
-                rows = scorable_rows(panel.mask, col, setup)
+                rows = np.flatnonzero(scorable_cells(panel.mask, setup)[:, col])
                 if rows.size == 0:
                     assert np.isnan(report.rmse[col])
                     continue

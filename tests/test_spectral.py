@@ -602,12 +602,17 @@ class TestEngineThreads:
         monkeypatch.setattr(spectral, "_dense_coordinates", spy)
         return seen
 
-    def test_blas_pinned_during_a_call_and_restored_after(self, monkeypatch, blas):
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_blas_pinned_during_a_call_and_restored_after(self, monkeypatch, blas, cap):
+        # A cap of 1 takes the serial path, which must pin BLAS too.
+        monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", str(cap))
         weights, ei, ej, n = _mixed_batch()[0]
         seen = self._spy(monkeypatch, blas)
         batched_coordinates(weights, ei, ej, n, 1)
-        assert len(seen) == 2 and {threads for threads, _ in seen} == {1}
-        assert threading.get_ident() not in {ident for _, ident in seen}
+        assert seen and {threads for threads, _ in seen} == {1}
+        if cap == 2:
+            assert len(seen) == 2
+            assert threading.get_ident() not in {ident for _, ident in seen}
         assert blas() == 2
 
     def test_blas_restored_when_a_worker_raises(self, monkeypatch, blas):
