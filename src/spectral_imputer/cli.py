@@ -40,13 +40,11 @@ from .io import (
     edge_list_csv_text,
     embedding_csv_text,
     embedding_svg_text,
-    imputation_to_panel,
     load_panel,
     manifest_text,
     panel_csv_text,
     pivot_csv_text,
     provenance_csv_text,
-    quantize_panel,
     ranked_csv_text,
     read_checkpoint,
     read_edge_list,
@@ -98,6 +96,12 @@ def _load_graph(layout, args, required: bool):
     if weights is not None:
         graph = graph.with_weights(weights)
     return graph
+
+
+def _tracker(graph, args) -> SimilarityTracker:
+    if args.checkpoint_in:
+        return read_checkpoint(args.checkpoint_in, graph, eta=args.eta)
+    return SimilarityTracker.for_graph(graph, eta=args.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -162,17 +166,11 @@ def _cmd_impute(args):
     ):
         raise ConfigError("checkpoints only apply to the weighted_graph method")
     panel, clamped = load_panel(args.panel, layout)
-    tracker = None
-    if args.method == "weighted_graph":
-        tracker = (
-            read_checkpoint(args.checkpoint_in, graph, eta=args.eta)
-            if args.checkpoint_in
-            else SimilarityTracker.for_graph(graph, eta=args.eta)
-        )
+    tracker = _tracker(graph, args) if args.method == "weighted_graph" else None
     result = run_estimator(panel, config, layout=layout, graph=graph, tracker=tracker)
-    filled = quantize_panel(imputation_to_panel(result), layout)
+    filled = panel_csv_text(layout, result.sensor_ids, result.timestamps, result.filled)
     staged = [
-        (_out_path(args, "filled.csv"), panel_csv_text(filled, layout)),
+        (_out_path(args, "filled.csv"), filled),
         (_out_path(args, "provenance.csv"), provenance_csv_text(result)),
         (_out_path(args, "manifest.json"), manifest_text("impute", _settings(args))),
     ]
@@ -274,19 +272,17 @@ def _cmd_sweep(args):
 
 def _cmd_simulate(args):
     layout = read_layout(args.layout)
-    panel = quantize_panel(
-        synth_panel(
-            layout,
-            args.t_len,
-            spatial_scale=args.spatial_scale,
-            temporal_persistence=args.persistence,
-            seed=args.seed,
-            driver_scale=args.driver_scale,
-            noise_scale=args.noise_scale,
-        ),
+    panel = synth_panel(
         layout,
+        args.t_len,
+        spatial_scale=args.spatial_scale,
+        temporal_persistence=args.persistence,
+        seed=args.seed,
+        driver_scale=args.driver_scale,
+        noise_scale=args.noise_scale,
     )
-    staged = [(_out_path(args, "panel_full.csv"), panel_csv_text(panel, layout))]
+    full = panel_csv_text(layout, panel.sensor_ids, panel.timestamps, panel.values)
+    staged = [(_out_path(args, "panel_full.csv"), full)]
     summary_bits = [f"simulated {panel.t_len}x{panel.n_sensors} panel"]
     if args.mechanism is not None:
         spec = MissingnessSpec(
@@ -296,9 +292,8 @@ def _cmd_simulate(args):
             seed=args.seed + 1,
         )
         masked = apply_missingness(panel, spec)
-        staged.append(
-            (_out_path(args, "panel_masked.csv"), panel_csv_text(masked, layout))
-        )
+        text = panel_csv_text(layout, masked.sensor_ids, masked.timestamps, masked.values)
+        staged.append((_out_path(args, "panel_masked.csv"), text))
         missing = int((~masked.mask).sum())
         summary_bits.append(
             f"{args.mechanism} masked {missing} cells "
@@ -314,11 +309,7 @@ def _cmd_regret(args):
     layout = read_layout(args.layout)
     graph = _load_graph(layout, args, required=True)
     panel, clamped = load_panel(args.panel, layout)
-    tracker = (
-        read_checkpoint(args.checkpoint_in, graph, eta=args.eta)
-        if args.checkpoint_in
-        else SimilarityTracker.for_graph(graph, eta=args.eta)
-    )
+    tracker = _tracker(graph, args)
     curve = regret_curve(revealed_similarity_rows(panel, graph), tracker=tracker)
     staged = [(_out_path(args, "regret_curve.csv"), regret_csv_text(curve))]
     if args.checkpoint_out:

@@ -161,12 +161,8 @@ class ImputationResult:
     provenance: np.ndarray
 
     def tag_counts(self) -> dict[str, int]:
-        out = {}
-        for p in Provenance:
-            count = int(np.sum(self.provenance == int(p)))
-            if count:
-                out[p.label] = count
-        return out
+        tags = np.bincount(self.provenance.ravel(), minlength=len(Provenance))
+        return {p.label: int(tags[p]) for p in Provenance if tags[p]}
 
 
 @dataclass(frozen=True)

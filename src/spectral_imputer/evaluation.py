@@ -213,8 +213,6 @@ def leave_one_out_eval(
     over the whole stream, since restricting what is scored does not
     change what the estimator would have seen.
     """
-    if setup not in SETUPS:
-        raise ConfigError(f"unknown setup {setup!r}; choose from {', '.join(SETUPS)}")
     n = panel.n_sensors
     if n < 2:
         raise InputError("leave-one-out evaluation needs at least two sensors")
@@ -226,12 +224,9 @@ def leave_one_out_eval(
         tracker = SimilarityTracker.for_graph(graph, eta=config.learning_rate)
     ok = scorable_cells(panel.mask, setup, within)
     counts = ok.sum(axis=0)
-    # Sensor by sensor, the scored rows' estimates in row order, with the
-    # next free slot of each sensor's range.
-    ends = np.cumsum(counts)
-    free = ends - counts
-    all_estimates = np.empty(int(ends[-1]))
-    all_baseline = np.empty(int(ends[-1]))
+    # Each scored cell's estimate and baseline, at the cell's own position.
+    all_estimates = np.full(panel.values.shape, np.nan)
+    all_baseline = np.full(panel.values.shape, np.nan)
     tags = np.zeros(len(Provenance), dtype=int)
     # Blocks of rows, the tracker replayed over each in turn as `impute`
     # does, keep memory flat in the panel's length.  Every observed cell
@@ -245,7 +240,6 @@ def leave_one_out_eval(
         guesses = None
         if tracker is not None:
             guesses, _ = tracker.replay(estimator.edge_weights(values, mask, np.nan))
-        # Sensor-major, so each sensor's cells are contiguous and in row order.
         targets, rows = np.nonzero(ok[start : start + step].T)
         if rows.size == 0:
             continue
@@ -262,18 +256,16 @@ def leave_one_out_eval(
             row_guesses = None if guesses is None else guesses[rows]
             estimates, codes = estimator.estimate(*cells, row_guesses)
             tags += np.bincount(codes, minlength=len(Provenance))
-        slots = free[targets] + np.arange(rows.size) - np.searchsorted(targets, targets)
-        all_estimates[slots] = estimates
-        all_baseline[slots] = baseline
-        free += np.bincount(targets, minlength=n)
+        all_estimates[start + rows, targets] = estimates
+        all_baseline[start + rows, targets] = baseline
 
     per_rmse = np.full(n, np.nan)
     per_naive = np.full(n, np.nan)
     for col in np.flatnonzero(counts):
-        truth = panel.values[ok[:, col], col]
-        scored = slice(ends[col] - counts[col], ends[col])
-        per_rmse[col] = rmse(truth, all_estimates[scored])
-        per_naive[col] = rmse(truth, all_baseline[scored])
+        scored = ok[:, col]
+        truth = panel.values[scored, col]
+        per_rmse[col] = rmse(truth, all_estimates[scored, col])
+        per_naive[col] = rmse(truth, all_baseline[scored, col])
     fallback_counts = {p.label: int(tags[p]) for p in Provenance if tags[p]}
     return EvalReport(
         method=config.method,

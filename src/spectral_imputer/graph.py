@@ -170,31 +170,6 @@ def laplacian(graph: FarmGraph) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(d) - a, np.diag(d)
 
 
-class _UnionFind:
-    """Disjoint sets over range(n) with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
 def component_labels(n: int, ei, ej) -> np.ndarray:
     """Component label per node for edges (ei[k], ej[k]) over range(n).
 
@@ -202,17 +177,18 @@ def component_labels(n: int, ei, ej) -> np.ndarray:
     label 0 always contains node 0.
     """
     # Not scipy's csgraph: importing it would more than double `graph`'s start-up.
-    uf = _UnionFind(n)
-    for a, b in zip(ei, ej):
-        uf.union(int(a), int(b))
-    labels = np.empty(n, dtype=np.intp)
-    remap: dict[int, int] = {}
-    for node in range(n):
-        root = uf.find(node)
-        if root not in remap:
-            remap[root] = len(remap)
-        labels[node] = remap[root]
-    return labels
+    # Each round hooks every edge's larger root onto its smaller one and lets
+    # every node jump to its root, so each component ends at its smallest member.
+    root = np.arange(n)
+    while True:
+        ra, rb = root[ei], root[ej]
+        split = ra != rb
+        if not split.any():
+            return np.unique(root, return_inverse=True)[1]
+        ra, rb = ra[split], rb[split]
+        root[np.maximum(ra, rb)] = np.minimum(ra, rb)
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
 
 
 @dataclass(frozen=True)

@@ -61,7 +61,7 @@ def atomic_write_text(path, text: str, *, defer: bool = False):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.chmod(tmp, 0o666 & ~_umask())
         if defer:
@@ -98,11 +98,18 @@ def _panel_csv(sensor_ids, timestamps, rows) -> str:
 
 
 def _read_rows(path):
+    """CSV rows of a UTF-8 file, with or without a byte-order mark."""
     try:
-        with open(path, newline="") as handle:
-            rows = list(csv.reader(handle))
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            rows = list(reader)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # Decoding runs ahead of the reader, so no line can be named.
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise InputError(f"{path} line {reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: file is empty")
     return rows
@@ -290,7 +297,8 @@ def _denormalize(value: float, capacity: float) -> float:
 
     value * capacity rounds, and dividing back can land one ulp off;
     nudge the raw value until the round trip is exact.  Values that came
-    from a load always succeed; see `quantize_panel` for the rest.
+    from a load, or were snapped as `panel_csv_text` snaps them, always
+    succeed.
     """
     raw = value * capacity
     if raw / capacity == value:
@@ -308,45 +316,31 @@ def _denormalize(value: float, capacity: float) -> float:
     )
 
 
-def quantize_panel(panel: Panel, layout: FarmLayout) -> Panel:
-    """Snap values onto what a raw file at these capacities can express.
+def panel_csv_text(layout: FarmLayout, sensor_ids, timestamps, values) -> str:
+    """Normalized `values` as raw readings, NaN cells left empty.
 
     Dividing by a capacity does not reach every double in [0, 1]; a
     value that never came through a load (synthetic data, estimates) may
-    sit between two reachable numbers and then no raw reading maps back
-    to it.  One multiply-divide round trip moves each observed value to
-    the nearest reachable one (at most one ulp away), after which
-    writing and re-loading is exact.  Values that already round-trip are
-    untouched.
+    sit between two reachable numbers, and then no raw reading maps back
+    to it.  One multiply-divide round trip first moves each value to the
+    nearest reachable one (at most one ulp away), so re-loading the file
+    is exact.  Values that already round-trip are untouched.
     """
-    if panel.sensor_ids != layout.ids:
-        raise InputError("panel sensors do not match the layout")
-    caps = layout.capacities()
-    snapped = np.where(panel.mask, (panel.values * caps) / caps, np.nan)
-    return Panel(panel.timestamps, panel.sensor_ids, snapped, panel.mask)
-
-
-def panel_csv_text(panel: Panel, layout: FarmLayout) -> str:
-    """A panel as raw readings (capacity times the stored values)."""
-    if panel.sensor_ids != layout.ids:
+    if tuple(sensor_ids) != layout.ids:
         raise InputError("panel sensors do not match the layout")
     capacities = layout.capacities()
-    raw = panel.values * capacities
-    nudge = panel.mask & (raw / capacities != panel.values)
+    values = (values * capacities) / capacities
+    raw = values * capacities
+    present = ~np.isnan(values)
+    nudge = present & (raw / capacities != values)
     for t, i in np.argwhere(nudge).tolist():
-        raw[t, i] = _denormalize(float(panel.values[t, i]), float(capacities[i]))
+        raw[t, i] = _denormalize(float(values[t, i]), float(capacities[i]))
     cells = list(map(repr, raw.ravel().tolist()))
-    for k in np.flatnonzero(~panel.mask).tolist():
+    for k in np.flatnonzero(~present).tolist():
         cells[k] = ""
-    n = panel.n_sensors
+    n = len(layout.ids)
     rows = (cells[k : k + n] for k in range(0, len(cells), n))
-    return _panel_csv(panel.sensor_ids, panel.timestamps, rows)
-
-
-def imputation_to_panel(result: ImputationResult) -> Panel:
-    """The filled values as a panel; still-missing cells stay masked."""
-    mask = np.isfinite(result.filled)
-    return Panel(result.timestamps, result.sensor_ids, result.filled, mask)
+    return _panel_csv(layout.ids, timestamps, rows)
 
 
 def provenance_csv_text(result: ImputationResult) -> str:
@@ -490,14 +484,9 @@ def pivot_csv_text(reports, axis: str) -> str:
     `axis` across the reports; each cell averages the mean improvement
     of the matching reports.
     """
-    if axis == "kernel":
-        key = lambda rep: rep.kernel
-        columns = sorted({rep.kernel for rep in reports})
-    elif axis == "r":
-        key = lambda rep: rep.r
-        columns = sorted({rep.r for rep in reports})
-    else:
+    if axis not in ("kernel", "r"):
         raise InputError(f"unknown pivot axis {axis!r}")
+    columns = sorted({getattr(rep, axis) for rep in reports})
     groups = sorted({(rep.method, rep.setup) for rep in reports})
     rows = [("method", "setup") + tuple(str(c) for c in columns)]
     for method, setup in groups:
@@ -506,7 +495,7 @@ def pivot_csv_text(reports, axis: str) -> str:
             hits = [
                 rep.mean_improvement
                 for rep in reports
-                if rep.method == method and rep.setup == setup and key(rep) == c
+                if (rep.method, rep.setup, getattr(rep, axis)) == (method, setup, c)
             ]
             row.append(_fmt(float(np.mean(hits))) if hits else "")
         rows.append(row)

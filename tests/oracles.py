@@ -3,7 +3,7 @@
 Everything here is deliberately written from the defining formulas with
 different machinery than the package: the generalized eigenproblem goes
 through scipy's two-argument eigh instead of the package's symmetric
-reduction, connectivity uses flood fill instead of union-find, kernels use
+reduction, connectivity uses flood fill instead of root hooking, kernels use
 math.exp instead of numpy expressions, the tracker replay is a plain
 per-edge loop, and the panel CSV writers go cell by cell through
 csv.writer.  Agreement between these routes and the package is the

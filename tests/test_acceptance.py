@@ -103,7 +103,7 @@ def test_c02_zero_eigenvalue_multiplicity_counts_components():
             agree += 1
     ok = agree == trials
     _verdict(
-        2, "zero-eigenvalue multiplicity vs union-find", ok,
+        2, "zero-eigenvalue multiplicity vs component labels", ok,
         f"{agree}/{trials} graphs agree",
     )
 

@@ -40,13 +40,11 @@ from spectral_imputer.io import (
     edge_list_csv_text,
     embedding_csv_text,
     embedding_svg_text,
-    imputation_to_panel,
     load_panel,
     manifest_text,
     panel_csv_text,
     pivot_csv_text,
     provenance_csv_text,
-    quantize_panel,
     ranked_csv_text,
     read_checkpoint,
     read_edge_list,
@@ -322,15 +320,16 @@ def test_load_panel_logs_clamps(tmp_path, caplog):
 def test_panel_write_load_round_trip_bit_exact(tmp_path):
     layout = grid_layout(2, 3, spacing=1.0)
     full = synth_panel(layout, 60, spatial_scale=1.2, temporal_persistence=0.5, seed=8)
-    holed = apply_missingness(full, MissingnessSpec("mcar", 0.2, seed=9))
-    panel = quantize_panel(holed, layout)
+    panel = apply_missingness(full, MissingnessSpec("mcar", 0.2, seed=9))
     path = tmp_path / "panel.csv"
-    atomic_write_text(path, panel_csv_text(panel, layout))
+    text = panel_csv_text(layout, panel.sensor_ids, panel.timestamps, panel.values)
+    atomic_write_text(path, text)
     again, clamped = load_panel(path, layout)
     assert clamped == 0
     assert again.timestamps == panel.timestamps
     assert np.array_equal(again.mask, panel.mask)
-    assert np.array_equal(again.values, panel.values, equal_nan=True)
+    caps = layout.capacities()
+    assert np.array_equal(again.values, (panel.values * caps) / caps, equal_nan=True)
 
 
 def test_panel_writers_match_cell_by_cell_oracle():
@@ -357,13 +356,13 @@ def test_panel_writers_match_cell_by_cell_oracle():
     expect = oracles.panel_csv_text(
         stamps, layout.ids, panel.values, panel.mask, layout.capacities()
     )
-    assert panel_csv_text(panel, layout) == expect
+    assert panel_csv_text(layout, layout.ids, stamps, panel.values) == expect
     iso = tuple(f"2024-01-01T{t // 60:02d}:{t % 60:02d}:00+00:00" for t in range(40))
     panel = Panel(iso, layout.ids, values, mask)
     expect = oracles.panel_csv_text(
         iso, layout.ids, panel.values, panel.mask, layout.capacities()
     )
-    assert panel_csv_text(panel, layout) == expect
+    assert panel_csv_text(layout, layout.ids, iso, panel.values) == expect
 
     codes = rng.integers(0, len(Provenance), size=(40, 5))
     result = ImputationResult(layout.ids, stamps, values, codes)
@@ -372,22 +371,28 @@ def test_panel_writers_match_cell_by_cell_oracle():
     assert provenance_csv_text(result) == expect
 
 
-def test_panel_writer_rejects_unreachable_value_like_oracle():
+def test_panel_writer_snaps_unreachable_value(tmp_path):
+    # No raw reading at capacity 3 divides back to exactly 0.1, so the
+    # writer moves it to (0.1 * 3) / 3, which one does.
     layout = FarmLayout((Sensor("a", 0.0, 0.0, 3.0),))
-    panel = Panel(("0",), ("a",), np.array([[0.1]]), np.array([[True]]))
     with pytest.raises(ValueError):
-        oracles.panel_csv_text(("0",), ("a",), panel.values, panel.mask, [3.0])
-    with pytest.raises(InputError, match="cannot encode value 0.1 exactly"):
-        panel_csv_text(panel, layout)
+        oracles.panel_csv_text(("0",), ("a",), np.array([[0.1]]), np.ones((1, 1), bool), [3.0])
+    path = tmp_path / "p.csv"
+    atomic_write_text(path, panel_csv_text(layout, ("a",), ("0",), np.array([[0.1]])))
+    again, _ = load_panel(path, layout)
+    assert (0.1 * 3) / 3 != 0.1
+    assert again.values[0, 0] == (0.1 * 3) / 3
 
 
-def test_quantize_panel_idempotent_and_close(tmp_path):
+def test_panel_writer_is_idempotent_on_reload(tmp_path):
     layout = grid_layout(2, 2)
     full = synth_panel(layout, 50, spatial_scale=1.0, temporal_persistence=0.4, seed=10)
-    once = quantize_panel(full, layout)
-    twice = quantize_panel(once, layout)
-    assert np.array_equal(once.values, twice.values, equal_nan=True)
-    assert np.nanmax(np.abs(once.values - full.values)) < 1e-15
+    once = panel_csv_text(layout, full.sensor_ids, full.timestamps, full.values)
+    path = tmp_path / "p.csv"
+    atomic_write_text(path, once)
+    again, _ = load_panel(path, layout)
+    assert panel_csv_text(layout, again.sensor_ids, again.timestamps, again.values) == once
+    assert np.max(np.abs(again.values - full.values)) < 1e-15
 
 
 def test_panel_csv_text_rejects_wrong_layout():
@@ -395,21 +400,26 @@ def test_panel_csv_text_rejects_wrong_layout():
     other = grid_layout(2, 3)
     panel = synth_panel(layout, 5, spatial_scale=1.0, temporal_persistence=0.3, seed=0)
     with pytest.raises(InputError, match="do not match the layout"):
-        panel_csv_text(panel, other)
+        panel_csv_text(other, panel.sensor_ids, panel.timestamps, panel.values)
 
 
 # ---------------------------------------------------------------------------
 # Derived text formats.
 
 
-def test_imputation_to_panel_keeps_unimputable_masked():
-    values = np.array([[np.nan, np.nan], [0.5, 0.25]])
-    mask = ~np.isnan(values)
-    panel = Panel(("0.0", "1.0"), ("a", "b"), values, mask)
-    result = impute_naive(panel)
-    out = imputation_to_panel(result)
-    assert not out.mask[0].any()
-    assert out.mask[1].all()
+def test_cli_impute_leaves_unimputable_cells_empty(tmp_path):
+    layout_csv = _two_sensor_layout_csv(tmp_path, capacity=2.0)
+    panel_csv = _write(tmp_path / "panel.csv", "timestamp,a,b\n0.0,,\n1.0,1.0,0.5\n")
+    out = tmp_path / "imp"
+    rc = main(
+        ["impute", "--layout", layout_csv, "--panel", panel_csv,
+         "--method", "naive", "--out", str(out)]
+    )
+    assert rc == 0
+    filled = (out / "filled.csv").read_text().split("\n")
+    assert filled[1:3] == ["0.0,,", "1.0,1.0,0.5"]
+    provenance = (out / "provenance.csv").read_text().split("\n")
+    assert provenance[1] == "0.0,unimputable,unimputable"
 
 
 def test_provenance_text_labels():
@@ -1034,6 +1044,79 @@ def test_cli_missing_input_single_line_error(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ")
     assert "\n" not in err
+
+
+@pytest.mark.parametrize("which", ["layout", "panel"])
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (b"\xff\xfe\x00bad\n", "not UTF-8 text"),
+        (b"x" * 200_000 + b",1\n", "line 4: field larger than field limit"),
+    ],
+    ids=["not-utf8", "huge-field"],
+)
+def test_cli_unreadable_input_single_line_error(tmp_path, capsys, which, fault, message):
+    files = {
+        "layout": b"sensor_id,latitude,longitude,nominal_capacity\n"
+        b"a,0.0,0.0,2.0\nb,1.0,0.0,2.0\n",
+        "panel": b"timestamp,a,b\n0.0,1.0,\n1.0,1.0,0.5\n",
+    }
+    files[which] += fault
+    for name, data in files.items():
+        (tmp_path / f"{name}.csv").write_bytes(data)
+    rc = main(
+        ["impute", "--layout", str(tmp_path / "layout.csv"),
+         "--panel", str(tmp_path / "panel.csv"), "--method", "naive",
+         "--out", str(tmp_path / "imp")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"error: {tmp_path / which}.csv") and message in err
+    assert "\n" not in err
+
+
+def test_inputs_with_a_byte_order_mark_load(tmp_path):
+    layout_csv = tmp_path / "layout.csv"
+    layout_csv.write_text(
+        "sensor_id,latitude,longitude,nominal_capacity\n"
+        "turbine_\u00e9,0.0,0.0,2.0\nb,1.0,0.0,2.0\n",
+        encoding="utf-8-sig",
+    )
+    panel_csv = tmp_path / "panel.csv"
+    panel_csv.write_text("timestamp,turbine_\u00e9,b\n0.0,1.0,\n", encoding="utf-8-sig")
+    layout = read_layout(layout_csv)
+    assert layout.ids == ("turbine_\u00e9", "b")
+    panel, _ = load_panel(panel_csv, layout)
+    assert panel.values[0, 0] == 0.5 and not panel.mask[0, 1]
+
+
+def test_cli_outputs_do_not_depend_on_the_locale(tmp_path):
+    layout_csv = _write(
+        tmp_path / "layout.csv",
+        "sensor_id,latitude,longitude,nominal_capacity\n"
+        "turbine_\u00e9,0.0,0.0,2.0\nb,1.0,0.0,2.0\nc,0.0,1.0,3.0\n",
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for mode in ({"PYTHONUTF8": "1"},
+                 {"PYTHONUTF8": "0", "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}):
+        env = dict(os.environ, PYTHONPATH=path, **mode)
+        out = tmp_path / mode["PYTHONUTF8"]
+        for argv in (
+            ["graph", "--layout", layout_csv, "--propose", "king", "--out", str(out)],
+            ["simulate", "--layout", layout_csv, "--t-len", "5", "--spatial-scale", "1",
+             "--persistence", "0.5", "--out", str(out)],
+        ):
+            done = subprocess.run(
+                [sys.executable, "-m", "spectral_imputer.cli", *argv],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert done.returncode == 0, done.stderr
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("edges.csv", "components.csv", "panel_full.csv")})
+    assert outputs[0] == outputs[1]
+    assert "turbine_\u00e9".encode() in outputs[1]["panel_full.csv"]
 
 
 def test_cli_outputs_follow_the_umask(tmp_path):

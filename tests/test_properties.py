@@ -15,8 +15,10 @@ from spectral_imputer.estimators import (
     run_estimator,
 )
 from spectral_imputer.evaluation import SETUPS, leave_one_out_eval, scorable_cells
-from spectral_imputer.graph import FarmLayout, Sensor, build_graph
-from spectral_imputer.io import atomic_write_text, load_panel, panel_csv_text, quantize_panel
+from spectral_imputer.graph import FarmLayout, Sensor, build_graph, component_labels
+from spectral_imputer.io import atomic_write_text, load_panel, panel_csv_text
+
+import oracles
 
 capacities = st.floats(min_value=1e-3, max_value=1e5, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -42,14 +44,42 @@ def panels(draw):
 @given(drawn=panels())
 def test_panel_survives_csv_round_trip(tmp_path_factory, drawn):
     layout, panel = drawn
-    panel = quantize_panel(panel, layout)
     path = tmp_path_factory.mktemp("round_trip") / "panel.csv"
-    atomic_write_text(path, panel_csv_text(panel, layout))
+    text = panel_csv_text(layout, panel.sensor_ids, panel.timestamps, panel.values)
+    atomic_write_text(path, text)
     again, clamped = load_panel(path, layout)
     assert clamped == 0
     assert again.timestamps == panel.timestamps
     assert np.array_equal(again.mask, panel.mask)
-    assert np.array_equal(again.values, panel.values, equal_nan=True)
+    caps = layout.capacities()
+    assert np.array_equal(again.values, (panel.values * caps) / caps, equal_nan=True)
+    assert panel_csv_text(layout, again.sensor_ids, again.timestamps, again.values) == text
+
+
+@st.composite
+def edge_lists(draw):
+    """Node count and (a, b) pairs: random ones, with repeats and reversals,
+    plus a path through the nodes in random order."""
+    n = draw(st.integers(0, 60))
+    pairs = []
+    if n:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n))
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+        pairs = [(b, a) if draw(st.booleans()) else (a, b) for a, b in pairs]
+        if draw(st.booleans()):
+            order = draw(st.permutations(range(n)))
+            pairs += list(zip(order[:-1], order[1:]))
+    return n, pairs
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=edge_lists())
+def test_component_labels_match_flood_fill(drawn):
+    n, pairs = drawn
+    ei = np.array([a for a, _ in pairs], dtype=np.intp)
+    ej = np.array([b for _, b in pairs], dtype=np.intp)
+    assert component_labels(n, ei, ej).tolist() == oracles.flood_components(n, pairs)
 
 
 @st.composite
