@@ -42,6 +42,8 @@ from .io import (
     embedding_svg_text,
     load_panel,
     manifest_text,
+    panel_cells,
+    panel_cells_csv_text,
     panel_csv_text,
     pivot_csv_text,
     provenance_csv_text,
@@ -281,7 +283,8 @@ def _cmd_simulate(args):
         driver_scale=args.driver_scale,
         noise_scale=args.noise_scale,
     )
-    full = panel_csv_text(layout, panel.sensor_ids, panel.timestamps, panel.values)
+    cells = panel_cells(layout, panel.sensor_ids, panel.values)
+    full = panel_cells_csv_text(layout.ids, panel.timestamps, cells.tolist())
     staged = [(_out_path(args, "panel_full.csv"), full)]
     summary_bits = [f"simulated {panel.t_len}x{panel.n_sensors} panel"]
     if args.mechanism is not None:
@@ -292,7 +295,8 @@ def _cmd_simulate(args):
             seed=args.seed + 1,
         )
         masked = apply_missingness(panel, spec)
-        text = panel_csv_text(layout, masked.sensor_ids, masked.timestamps, masked.values)
+        cells[~masked.mask] = ""
+        text = panel_cells_csv_text(layout.ids, masked.timestamps, cells.tolist())
         staged.append((_out_path(args, "panel_masked.csv"), text))
         missing = int((~masked.mask).sum())
         summary_bits.append(

@@ -28,8 +28,9 @@ from enum import IntEnum
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .graph import FarmGraph, FarmLayout, component_labels, components
-from .kernels import KERNEL_NAMES, WeightVector, kernel_weight_rows
+from .graph import FarmGraph, FarmLayout, component_labels, components, pairwise_distances
+from .kernels import KERNEL_NAMES, KERNEL_SUM_FLOOR, WeightVector
+from .kernels import kernel_weight_rows, kernel_weight_table
 from .online import ETA_ERROR, ETA_MAX, SimilarityTracker
 from .spectral import (
     batch_rows,
@@ -197,13 +198,6 @@ class EstimatorConfig:
             raise ConfigError("weight floor must be >= 0")
 
 
-def geo_distance_matrix(layout: FarmLayout) -> np.ndarray:
-    """Pairwise Euclidean distances between sensor coordinates."""
-    pos = layout.positions()
-    diff = pos[:, None, :] - pos[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
-
-
 def static_embedding_distances(graph: FarmGraph, r: int) -> np.ndarray:
     """Pairwise distances in the fixed graph's embedding.
 
@@ -222,9 +216,9 @@ def static_embedding_distances(graph: FarmGraph, r: int) -> np.ndarray:
         # which the kernel stage resolves with uniform weights.
         return np.zeros((graph.n, graph.n))
     ei, ej = graph.edge_index_arrays()
-    coords = batched_coordinates(graph.weight_array()[None], ei, ej, graph.n, r)[0]
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
+    return pairwise_distances(
+        batched_coordinates(graph.weight_array()[None], ei, ej, graph.n, r)[0]
+    )
 
 
 def _check_alignment(panel_ids, ids, what: str):
@@ -255,33 +249,50 @@ def _kernel_fill(kind: str, dist, values, obs):
 
 # Every estimator answers `estimate(values, obs, rows, targets, guesses)`:
 # values and obs are (B, N) row arrays, values finite and ignored where
-# obs is False, and every row holding a target has an observed sensor;
-# cell c is sensor targets[c] of row rows[c] (`targets` may be one sensor
-# for every cell); guesses are the (B, E) tracker guesses, used only by
-# weighted_graph.  It returns (C,) estimates and provenance codes.
+# obs is False; cell c is sensor targets[c] of row rows[c]; guesses are
+# the (B, E) tracker guesses, for weighted_graph.  It returns (C,) estimates
+# and provenance codes.  A cell's row observes another sensor, and its own
+# is never its neighbor: one more hole in leave-one-out, none in `impute`.
 
 
 class _MeanEstimator:
-    """naive: the plain mean of the row's observed sensors."""
+    """naive: the plain mean of the row's other observed sensors."""
 
     def estimate(self, values, obs, rows, targets, guesses=None):
-        # Rows without a target may have nothing observed.
-        counts = obs.sum(axis=1)
-        means = (values * obs).sum(axis=1) / np.where(counts > 0, counts, 1)
-        return means[rows], np.full(rows.size, int(Provenance.WEIGHTED_KNN))
+        own = obs[rows, targets]
+        sums = (values * obs).sum(axis=1)[rows] - np.where(own, values[rows, targets], 0.0)
+        counts = obs.sum(axis=1)[rows] - own
+        return sums / counts, np.full(rows.size, int(Provenance.WEIGHTED_KNN))
 
 
 class _FixedDistanceEstimator:
-    """location and unweighted_graph: one (N, N) distance matrix for all rows."""
+    """location and unweighted_graph: one (N, N) distance matrix for all rows.
+
+    A cell whose row observes a sensor furthest from its target takes its
+    weights from `kernel_weight_table`, so a block's kernel sums are matrix
+    products; the other cells take `_kernel_fill`.
+    """
 
     def __init__(self, kind: str, dist: np.ndarray):
         self.kind = kind
         self.dist = dist
+        self.weights, self.far_sets = kernel_weight_table(kind, dist)
 
     def estimate(self, values, obs, rows, targets, guesses=None):
-        obs = obs[rows]
-        dist = np.broadcast_to(self.dist[targets], obs.shape)
-        return _kernel_fill(self.kind, dist, values[rows], obs)
+        seen = obs.astype(float)
+        total = (seen @ self.weights.T)[rows, targets]
+        fast = ((seen @ self.far_sets.T)[rows, targets] > 0) & (total >= KERNEL_SUM_FLOOR)
+        sums = ((values * seen) @ self.weights.T)[rows, targets]
+        estimates = sums / np.where(fast, total, 1.0)
+        codes = np.full(rows.size, int(Provenance.WEIGHTED_KNN), dtype=np.int8)
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            at, own = rows[slow], targets[slow]
+            others = obs[at] & (np.arange(obs.shape[1]) != own[:, None])
+            estimates[slow], codes[slow] = _kernel_fill(
+                self.kind, self.dist[own], values[at], others
+            )
+        return estimates, codes
 
 
 def _edge_similarities(values, obs, ei, ej, unrevealed):
@@ -330,7 +341,11 @@ class _WeightedRowImputer:
 
     def estimate(self, values, obs, rows, targets, guesses):
         """Batchable rows share one embedding call, the rest take `impute_row`."""
-        targets = np.broadcast_to(targets, rows.shape)
+        # Hiding a sensor reweights its edges: an observed cell gets its own row.
+        if obs[rows, targets].any():
+            values, obs, guesses = values[rows], obs[rows], guesses[rows]
+            obs[np.arange(rows.size), targets] = False
+            rows = np.arange(rows.size)
         weights = self.edge_weights(values, obs, guesses)
         fast = self.batchable(obs, weights)[rows]
         estimates = np.empty(rows.size)
@@ -421,7 +436,8 @@ def make_estimator(
         if layout is None:
             raise ConfigError("method 'location' needs a farm layout")
         _check_alignment(sensor_ids, layout.ids, "layout")
-        return _FixedDistanceEstimator(config.kernel, geo_distance_matrix(layout))
+        dist = pairwise_distances(layout.positions())
+        return _FixedDistanceEstimator(config.kernel, dist)
     if graph is None:
         raise ConfigError(f"method {config.method!r} needs a sensor graph")
     _check_alignment(sensor_ids, graph.node_ids, "graph")

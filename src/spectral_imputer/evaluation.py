@@ -7,8 +7,8 @@ depend only on the rows before it, which the hide does not touch, so the
 tracker can be replayed ahead of the rows it serves and every (row, sensor)
 score computed independently.  So evaluation runs like `impute`: over
 blocks of rows, the tracker replayed over each block first, with one call
-of the impute estimator per block covering every scored cell, each cell
-its row with that sensor cleared from the observations.
+of the impute estimator per block covering every scored cell; the
+estimators never count a cell's own sensor among its neighbors.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from .estimators import (
     EstimatorConfig,
     Panel,
     Provenance,
-    geo_distance_matrix,
     make_estimator,
 )
 from .graph import FarmGraph, FarmLayout, build_graph, propose_grid_edges
+from .graph import pairwise_distances
 from .online import SimilarityTracker
 from .spectral import batch_rows, single_blas_thread
 
@@ -222,17 +222,14 @@ def leave_one_out_eval(
     tracker = None
     if config.method == "weighted_graph":
         tracker = SimilarityTracker.for_graph(graph, eta=config.learning_rate)
-    ok = scorable_cells(panel.mask, setup, within)
-    counts = ok.sum(axis=0)
-    # Each scored cell's estimate and baseline, at the cell's own position.
-    all_estimates = np.full(panel.values.shape, np.nan)
-    all_baseline = np.full(panel.values.shape, np.nan)
+    # Per sensor: scored cells, and squared errors of estimates and baseline.
+    counts = np.zeros(n, dtype=int)
+    squares = np.zeros((2, n))
     tags = np.zeros(len(Provenance), dtype=int)
     # Blocks of rows, the tracker replayed over each in turn as `impute`
-    # does, keep memory flat in the panel's length.  Every observed cell
-    # is scored, so `impute`'s `batch_rows(n)` rows would make (cells, n)
-    # arrays near BATCH_BYTES, which glibc returned to the system after
-    # each block: 110k page faults in one 10x10 evaluate, 1k at half size.
+    # does, keep memory flat in the panel's length.  They hold half of
+    # `impute`'s rows: weighted_graph copies every scored cell's row, and at
+    # full size glibc would unmap and refault those copies every block.
     step = max(1, batch_rows(n) // 2)
     for start in range(0, panel.t_len, step):
         mask = panel.mask[start : start + step]
@@ -240,32 +237,22 @@ def leave_one_out_eval(
         guesses = None
         if tracker is not None:
             guesses, _ = tracker.replay(estimator.edge_weights(values, mask, np.nan))
-        targets, rows = np.nonzero(ok[start : start + step].T)
+        rows_within = None if within is None else within[start : start + step]
+        targets, rows = np.nonzero(scorable_cells(mask, setup, rows_within).T)
         if rows.size == 0:
             continue
-        # Each scored cell is the impute estimator's input with one more
-        # hole: its sensor hidden from `obs`; its truth stays in `values`,
-        # which the estimators ignore wherever `obs` is False.
-        obs = mask[rows]
-        obs[np.arange(rows.size), targets] = False
-        cells = (values[rows], obs, np.arange(rows.size), targets)
-        baseline, _ = baseline_estimator.estimate(*cells)
+        baseline, _ = baseline_estimator.estimate(values, mask, rows, targets)
         estimates = baseline
         # The plain mean weights nothing, so naive reports no fallback counts.
         if config.method != "naive":
-            row_guesses = None if guesses is None else guesses[rows]
-            estimates, codes = estimator.estimate(*cells, row_guesses)
+            estimates, codes = estimator.estimate(values, mask, rows, targets, guesses)
             tags += np.bincount(codes, minlength=len(Provenance))
-        all_estimates[start + rows, targets] = estimates
-        all_baseline[start + rows, targets] = baseline
-
-    per_rmse = np.full(n, np.nan)
-    per_naive = np.full(n, np.nan)
-    for col in np.flatnonzero(counts):
-        scored = ok[:, col]
-        truth = panel.values[scored, col]
-        per_rmse[col] = rmse(truth, all_estimates[scored, col])
-        per_naive[col] = rmse(truth, all_baseline[scored, col])
+        counts += np.bincount(targets, minlength=n)
+        for k, guess in enumerate((estimates, baseline)):
+            errors = values[rows, targets] - guess
+            squares[k] += np.bincount(targets, errors**2, minlength=n)
+    with np.errstate(invalid="ignore"):  # 0 / 0: NaN for an unscored sensor
+        per_rmse, per_naive = np.sqrt(squares / counts)
     fallback_counts = {p.label: int(tags[p]) for p in Provenance if tags[p]}
     return EvalReport(
         method=config.method,
@@ -405,7 +392,7 @@ def synth_panel(
         raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     n = layout.n
-    d = geo_distance_matrix(layout)
+    d = pairwise_distances(layout.positions())
     # Extreme scales saturate, the covariance to I and readings to 0 or 1;
     # a NaN from inf - inf is left for `Panel` to reject.
     with np.errstate(over="ignore", invalid="ignore"):

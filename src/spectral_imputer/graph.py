@@ -227,6 +227,24 @@ def components(graph: FarmGraph, weight_floor: float = 0.0) -> ComponentPartitio
     )
 
 
+def pairwise_distances(points: np.ndarray) -> np.ndarray:
+    """(n, n) Euclidean distances between the rows of `points`; a pair whose
+    sum of squares overflows is summed again scaled by its largest difference.
+
+    Raises:
+        InputError: if a distance overflows a float.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = points[:, None, :] - points[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+        big = np.isinf(dist)
+        scale = np.abs(diff[big]).max(axis=1)
+        dist[big] = scale * np.sqrt(((diff[big] / scale[:, None]) ** 2).sum(axis=1))
+    if not np.isfinite(dist).all():
+        raise InputError("sensors lie too far apart: a distance overflows a float")
+    return dist
+
+
 def propose_grid_edges(
     layout: FarmLayout, mode: str = "king"
 ) -> list[tuple[str, str]]:
@@ -246,9 +264,7 @@ def propose_grid_edges(
         raise InputError(f"unknown proposal mode {mode!r}")
     if layout.n < 2:
         raise InputError("need at least two sensors to propose edges")
-    pos = layout.positions()
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    dist = pairwise_distances(layout.positions())
     iu = np.triu_indices(layout.n, k=1)
     pairwise = dist[iu]
     if np.min(pairwise) <= 0:

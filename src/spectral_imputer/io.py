@@ -87,7 +87,7 @@ def _fmt(value) -> str:
 _PLAIN_FIELD = re.compile(r"[\w.:+-]*").fullmatch
 
 
-def _panel_csv(sensor_ids, timestamps, rows) -> str:
+def panel_cells_csv_text(sensor_ids, timestamps, rows) -> str:
     """Panel-shaped CSV: `rows` hold formatted cells that need no quoting.
 
     The header and the timestamps are quoted as `csv.writer` quotes them.
@@ -297,7 +297,7 @@ def _denormalize(value: float, capacity: float) -> float:
 
     value * capacity rounds, and dividing back can land one ulp off;
     nudge the raw value until the round trip is exact.  Values that came
-    from a load, or were snapped as `panel_csv_text` snaps them, always
+    from a load, or were snapped as `panel_cells` snaps them, always
     succeed.
     """
     raw = value * capacity
@@ -317,14 +317,21 @@ def _denormalize(value: float, capacity: float) -> float:
 
 
 def panel_csv_text(layout: FarmLayout, sensor_ids, timestamps, values) -> str:
-    """Normalized `values` as raw readings, NaN cells left empty.
+    """Normalized `values` as raw readings, NaN cells left empty."""
+    cells = panel_cells(layout, sensor_ids, values)
+    return panel_cells_csv_text(layout.ids, timestamps, cells.tolist())
 
-    Dividing by a capacity does not reach every double in [0, 1]; a
-    value that never came through a load (synthetic data, estimates) may
-    sit between two reachable numbers, and then no raw reading maps back
-    to it.  One multiply-divide round trip first moves each value to the
-    nearest reachable one (at most one ulp away), so re-loading the file
-    is exact.  Values that already round-trip are untouched.
+
+def panel_cells(layout: FarmLayout, sensor_ids, values) -> np.ndarray:
+    """(T, N) object array of normalized `values` as raw-reading texts.
+
+    NaN cells are empty texts.  Dividing by a capacity does not reach
+    every double in [0, 1]; a value that never came through a load
+    (synthetic data, estimates) may sit between two reachable numbers,
+    and then no raw reading maps back to it.  One multiply-divide round
+    trip first moves each value to the nearest reachable one (at most one
+    ulp away), so re-loading the file is exact; values that already
+    round-trip are untouched.
     """
     if tuple(sensor_ids) != layout.ids:
         raise InputError("panel sensors do not match the layout")
@@ -335,19 +342,16 @@ def panel_csv_text(layout: FarmLayout, sensor_ids, timestamps, values) -> str:
     nudge = present & (raw / capacities != values)
     for t, i in np.argwhere(nudge).tolist():
         raw[t, i] = _denormalize(float(values[t, i]), float(capacities[i]))
-    cells = list(map(repr, raw.ravel().tolist()))
-    for k in np.flatnonzero(~present).tolist():
-        cells[k] = ""
-    n = len(layout.ids)
-    rows = (cells[k : k + n] for k in range(0, len(cells), n))
-    return _panel_csv(layout.ids, timestamps, rows)
+    cells = np.array(list(map(repr, raw.ravel().tolist())), dtype=object)
+    cells[~present.ravel()] = ""
+    return cells.reshape(raw.shape)
 
 
 def provenance_csv_text(result: ImputationResult) -> str:
     """Per-cell provenance labels in panel layout."""
     labels = np.array([Provenance(k).label for k in range(len(Provenance))], object)
     rows = labels[result.provenance].tolist()
-    return _panel_csv(result.sensor_ids, result.timestamps, rows)
+    return panel_cells_csv_text(result.sensor_ids, result.timestamps, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,21 @@ class WeightVector:
     fallback_used: bool
 
 
+def kernel_weight_table(kind: str, dist: np.ndarray):
+    """(weights, far_sets), (N, N) each, from finite distances dist[i, j] >= 0.
+
+    far_i is target i's largest distance to another sensor; far_sets[i, j]
+    is 1 where dist[i, j] == far_i > 0.  In a row that observes a sensor of
+    far set i, `kernel_weight_rows` gives each j the weight weights[i, j] =
+    K(dist[i, j] / far_i), normalized.  Both are 0 where j == i.
+    """
+    others = ~np.eye(len(dist), dtype=bool)
+    far = np.where(others, dist, 0.0).max(axis=1, initial=0.0)
+    weights = _KERNELS[kind](dist / np.where(far > 0, far, 1.0)[:, None]) * others
+    far_sets = others & (far[:, None] > 0) & (dist == far[:, None])
+    return weights, far_sets.astype(float)
+
+
 def kernel_weight_rows(kind: str, dist: np.ndarray, obs: np.ndarray):
     """Vectorized neighbor weights for a batch of imputations.
 

@@ -308,7 +308,8 @@ def test_eval_weighted_slow_path_rows_are_scored():
 
 
 @pytest.mark.parametrize(
-    "method, shape, scored", [("weighted_graph", (5, 7), 100), ("location", (3, 4), None)]
+    "method, shape, scored",
+    [("weighted_graph", (5, 7), 100), ("location", (3, 4), None), ("location", (10, 10), None)],
 )
 def test_eval_memory_flat_in_panel_length(method, shape, scored):
     """Doubling the panel's length keeps the traced peak within 1.2x.

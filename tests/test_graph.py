@@ -10,6 +10,7 @@ from spectral_imputer.graph import (
     build_graph,
     components,
     laplacian,
+    pairwise_distances,
     propose_grid_edges,
 )
 
@@ -120,6 +121,17 @@ def test_propose_grid_edges_rook_and_king():
     assert len(rook) == 4
     assert len(king) == 6
     assert set(rook) <= set(king)
+
+
+def test_pairwise_distances_rescale_only_overflowing_pairs():
+    points = np.random.default_rng(3).normal(size=(9, 2)) * 1e3
+    diff = points[:, None, :] - points[None, :, :]
+    assert np.array_equal(pairwise_distances(points), np.sqrt((diff**2).sum(axis=2)))
+    far = pairwise_distances(np.array([[-1e200, 0.0], [1e200, 0.0], [0.0, 3e200]]))
+    assert far[0, 1] == 2e200
+    assert far[1, 2] == pytest.approx(np.sqrt(10.0) * 1e200, rel=1e-15)
+    with pytest.raises(InputError, match="too far apart"):
+        pairwise_distances(np.array([[-1e308, 0.0], [1e308, 0.0]]))
 
 
 def test_propose_grid_edges_rejects_coincident_sensors():

@@ -967,6 +967,57 @@ def test_cli_simulate_saturating_scales_warn_nothing(tmp_path, capsys, flags):
     assert capsys.readouterr().err == ""
 
 
+def _far_apart_files(tmp_path, reach):
+    """A 3x4 grid layout spanning [-reach, reach] on both axes, and a panel."""
+    lines = ["sensor_id,latitude,longitude,nominal_capacity"]
+    for k in range(12):
+        x, y = reach * ((k % 4) / 1.5 - 1), reach * (k // 4 - 1)
+        lines.append(f"t{k:02d},{x!r},{y!r},7.0")
+    layout_csv = _write(tmp_path / "layout.csv", "\n".join(lines) + "\n")
+    rows = [",".join(["timestamp"] + [f"t{k:02d}" for k in range(12)])]
+    for t in range(4):
+        rows.append(",".join([str(t)] + ["" if k == 3 * t else str(1 + k % 5) for k in range(12)]))
+    return layout_csv, _write(tmp_path / "panel.csv", "\n".join(rows) + "\n")
+
+
+def _far_apart_commands(layout_csv, panel_csv, out):
+    location = ["--layout", layout_csv, "--panel", panel_csv, "--method", "location"]
+    return [
+        ["graph", "--layout", layout_csv, "--propose", "king", "--out", f"{out}/graph"],
+        ["simulate", "--layout", layout_csv, "--t-len", "20", "--spatial-scale", "1.5",
+         "--persistence", "0.6", "--mechanism", "mcar", "--out", f"{out}/sim"],
+        ["impute", *location, "--out", f"{out}/impute"],
+        ["evaluate", *location, "--setup", "incomplete", "--out", f"{out}/evaluate"],
+    ]
+
+
+def test_cli_far_apart_sensors_warn_nothing(tmp_path, capsys):
+    """Coordinates of 1e200 overflow the squared differences, not the
+    distances: every command runs silently, proposes the same graph as the
+    grid at unit scale and fills the same values to rounding."""
+    outputs = {}
+    for reach in (1.0, 1e200):
+        layout_csv, panel_csv = _far_apart_files(tmp_path, reach)
+        out = tmp_path / repr(reach)
+        for argv in _far_apart_commands(layout_csv, panel_csv, out):
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+        filled = np.loadtxt(out / "impute" / "filled.csv", delimiter=",", skiprows=1)
+        outputs[reach] = ((out / "graph" / "edges.csv").read_text(), filled)
+    assert outputs[1e200][0] == outputs[1.0][0]
+    assert np.allclose(outputs[1e200][1], outputs[1.0][1], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("command", range(4))
+def test_cli_unrepresentable_distance_single_line_error(tmp_path, capsys, command):
+    # Sensors at -1e308 and 1e308 are 2e308 apart, past the largest double.
+    layout_csv, panel_csv = _far_apart_files(tmp_path, 1e308)
+    argv = _far_apart_commands(layout_csv, panel_csv, tmp_path)[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip()
+    assert err == "error: sensors lie too far apart: a distance overflows a float"
+
+
 _NO_SCIPY_SCRIPT = """
 import sys
 from spectral_imputer.cli import main

@@ -12,11 +12,19 @@ from spectral_imputer.estimators import (
     EstimatorConfig,
     Panel,
     Provenance,
+    make_estimator,
     run_estimator,
 )
 from spectral_imputer.evaluation import SETUPS, leave_one_out_eval, scorable_cells
-from spectral_imputer.graph import FarmLayout, Sensor, build_graph, component_labels
+from spectral_imputer.graph import (
+    FarmLayout,
+    Sensor,
+    build_graph,
+    component_labels,
+    pairwise_distances,
+)
 from spectral_imputer.io import atomic_write_text, load_panel, panel_csv_text
+from spectral_imputer.kernels import KERNEL_NAMES, kernel_weight_rows
 
 import oracles
 
@@ -154,3 +162,54 @@ def test_estimators_are_permutation_equivariant(drawn, data):
         assert np.array_equal(again.provenance, out.provenance[:, perm])
         assert np.array_equal(np.isnan(again.filled), np.isnan(out.filled[:, perm]))
         assert np.nanmax(np.abs(again.filled - out.filled[:, perm]), initial=0.0) <= 1e-10
+
+
+@st.composite
+def fixed_distance_blocks(draw):
+    """A kernel, a layout on a grid of at most 3x3 spots and a block of rows.
+
+    Spots repeat, so sensors coincide (on a 1x1 grid nothing lies at a
+    positive distance) and far sensors tie; some rows hide the far set of
+    a sensor, and readings are finite everywhere, observed or not."""
+    kind = draw(st.sampled_from(KERNEL_NAMES))
+    n = draw(st.integers(2, 12))
+    side = st.integers(0, draw(st.integers(0, 2)))
+    spots = draw(st.lists(st.tuples(side, side), min_size=n, max_size=n))
+    layout = FarmLayout(
+        tuple(Sensor(f"s{i}", float(a), float(b), 1.0) for i, (a, b) in enumerate(spots))
+    )
+    t_len = draw(st.integers(1, 8))
+    values = np.array(draw(st.lists(unit, min_size=t_len * n, max_size=t_len * n)))
+    obs = np.array(draw(st.lists(st.booleans(), min_size=t_len * n, max_size=t_len * n)))
+    values, obs = values.reshape(t_len, n), obs.reshape(t_len, n)
+    dist = pairwise_distances(layout.positions())
+    for t, i in enumerate(draw(st.lists(st.integers(0, n - 1), max_size=t_len))):
+        far = dist[i] == np.delete(dist[i], i).max()
+        far[i] = False
+        obs[t, far] = False
+    return kind, layout, dist, values, obs
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=fixed_distance_blocks())
+def test_fixed_distance_and_mean_match_each_cells_neighbor_set(drawn):
+    """The location estimator and the plain mean, on `impute`'s cells
+    (holes) and leave-one-out's (observed cells), agree with
+    `kernel_weight_rows` and a mean over the row's other observed sensors."""
+    kind, layout, dist, values, obs = drawn
+    location = make_estimator(EstimatorConfig("location", kind), layout.ids, layout)
+    mean = make_estimator(EstimatorConfig("naive"), layout.ids)
+    n = len(layout.ids)
+    others = obs.sum(axis=1, keepdims=True) - obs > 0
+    for cells in (~obs & others, obs & others):
+        rows, targets = np.nonzero(cells)
+        estimates, codes = location.estimate(values, obs, rows, targets)
+        means, _ = mean.estimate(values, obs, rows, targets)
+        for c, (t, i) in enumerate(zip(rows, targets)):
+            near = obs[t] & (np.arange(n) != i)
+            weights, fallback = kernel_weight_rows(kind, dist[i][None], near[None])
+            want = (weights[0] * values[t]).sum()
+            code = Provenance.UNIFORM_FALLBACK if fallback[0] else Provenance.WEIGHTED_KNN
+            assert abs(estimates[c] - want) <= 1e-12
+            assert codes[c] == code
+            assert abs(means[c] - values[t, near].mean()) <= 1e-12
