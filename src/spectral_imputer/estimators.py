@@ -463,7 +463,7 @@ def _impute(panel: Panel, estimator, tracker: SimilarityTracker | None):
         panel.mask, int(Provenance.OBSERVED), int(Provenance.UNIMPUTABLE)
     ).astype(np.int8)
     guesses = None
-    step = batch_rows(panel.n_sensors)
+    step = batch_rows(panel.n_sensors, 0 if tracker is None else tracker.edge_count)
     for start in range(0, panel.t_len, step):
         mask = panel.mask[start : start + step]
         values = np.where(mask, panel.values[start : start + step], 0.0)

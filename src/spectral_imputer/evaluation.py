@@ -28,9 +28,12 @@ from .estimators import (
 from .graph import FarmGraph, FarmLayout, build_graph, propose_grid_edges
 from .graph import pairwise_distances
 from .online import SimilarityTracker
-from .spectral import batch_rows, single_blas_thread
+from .spectral import DENSE_SOLVER_MAX, batch_rows, single_blas_thread
 
 SETUPS = ("complete", "incomplete")
+# `sweep` ranks mean improvements rounded to this many decimals: methods
+# that coincide, as all do under the naive kernel, differ by about 1e-17.
+RANK_DECIMALS = 12
 
 
 def rmse(truth: np.ndarray, estimates: np.ndarray) -> float:
@@ -227,10 +230,14 @@ def leave_one_out_eval(
     squares = np.zeros((2, n))
     tags = np.zeros(len(Provenance), dtype=int)
     # Blocks of rows, the tracker replayed over each in turn as `impute`
-    # does, keep memory flat in the panel's length.  They hold half of
-    # `impute`'s rows: weighted_graph copies every scored cell's row, and at
-    # full size glibc would unmap and refault those copies every block.
-    step = max(1, batch_rows(n) // 2)
+    # does, keep memory flat in the panel's length.  weighted_graph copies
+    # every scored cell's row.  On the dense route the blocks hold half of
+    # `impute`'s rows: at full size glibc would unmap and refault those
+    # copies every block.  Beyond it, where `impute`'s blocks are sized by
+    # per-row arrays, a row's scored cells bring up to n copies of it, so
+    # the blocks hold 1/n of `impute`'s rows.
+    edges = 0 if tracker is None else tracker.edge_count
+    step = max(1, batch_rows(n, edges) // (2 if n <= DENSE_SOLVER_MAX else n))
     for start in range(0, panel.t_len, step):
         mask = panel.mask[start : start + step]
         values = np.where(mask, panel.values[start : start + step], 0.0)
@@ -282,7 +289,9 @@ def sweep(
 
     Runs configurations one after another; each run's eigensolves are
     already split across `thread_cap()` workers by the embedding engine.
-    The returned ordering is by score, ties broken by configuration order.
+    The returned ordering is by mean improvement rounded to
+    RANK_DECIMALS decimals, ties broken by configuration order, so
+    improvements that differ only by rounding keep that order.
     """
     configs = list(configs)
     for setup in setups:
@@ -296,7 +305,8 @@ def sweep(
         for setup in setups
     ]
     order = sorted(
-        range(len(reports)), key=lambda k: (-reports[k].mean_improvement, k)
+        range(len(reports)),
+        key=lambda k: (-round(reports[k].mean_improvement, RANK_DECIMALS), k),
     )
     return [reports[k] for k in order]
 

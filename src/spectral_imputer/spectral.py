@@ -26,12 +26,16 @@ same cores; a ctypes call, like `eigh`, runs without the GIL.  Each
 graph is solved on its own, so the split changes no bit of the result.
 
 Above DENSE_SOLVER_MAX each graph gets a shift-inverted partial solve
-(ARPACK's Lanczos through `eigsh`).  Its shifted matrix I - S A S - SHIFT I
-is positive definite, so LAPACK's banded Cholesky (`dpbtrf`) factors it in
-a reverse Cuthill-McKee node order, computed once per edge set and cached,
-which keeps a farm graph's band narrow (half-bandwidth 31 on a 16x16 king
-grid); at worst, a band as wide as n, it is a dense Cholesky.  This route
-runs serially: ARPACK holds the GIL, so worker threads gain nothing.
+(ARPACK's Lanczos through `eigsh`, on a basis sized for the pairs asked
+for).  Its shifted matrix I - S A S - SHIFT I is positive definite, so
+LAPACK's banded Cholesky (`dpbtrf`) factors it in the narrower of the
+given node order and the reverse Cuthill-McKee order, chosen once per
+edge set and cached, which keeps a farm graph's band narrow
+(half-bandwidth 17 on a row-major 16x16 king grid); at worst, a band as
+wide as n, it is a dense Cholesky.  This route runs serially, with both
+numpy's and scipy's bundled OpenBLAS pinned to one thread: ARPACK holds
+the GIL, so worker threads gain nothing.  Its blocks of rows are sized
+by per-row arrays, as no (B, n, n) stack is formed.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import contextlib
 import ctypes
 import functools
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -63,6 +68,10 @@ DEGENERACY_TOL = 1e-9
 # float64 stack near this size; a few such stacks are live at once, so
 # this bounds their memory whatever the farm size.
 BATCH_BYTES = 1 << 20
+# Above DENSE_SOLVER_MAX, blocks of rows are sized as if this many per-row
+# arrays of n + E floats were live at once: values, mask, the tracker's
+# guesses and losses, edge similarities and their temporaries.
+ROW_ARRAYS = 8
 # Shift of the iterative route's shift-invert solves: just below the
 # spectrum, whose smallest eigenvalue is 0, so the shifted matrix is
 # positive definite and the smallest eigenvalues map to the largest.
@@ -186,12 +195,16 @@ def thread_cap() -> int:
 
 
 @functools.cache
-def _openblas_symbols(*names):
-    """The named functions of numpy's bundled OpenBLAS, or None."""
+def _openblas_symbols(*names, wheel="numpy"):
+    """The named functions of numpy's (ILP64) or scipy's bundled OpenBLAS, or None.
+
+    `wheel` must be imported: its bundled libraries sit beside it.
+    """
     import glob
 
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+    site = os.path.dirname(os.path.dirname(sys.modules[wheel].__file__))
+    pattern = {"numpy": "libscipy_openblas64_*.so", "scipy": "libscipy_openblas-*.so"}
+    for path in sorted(glob.glob(os.path.join(site, f"{wheel}.libs", pattern[wheel]))):
         try:
             lib = ctypes.CDLL(path)
             return tuple(getattr(lib, name) for name in names)
@@ -200,18 +213,31 @@ def _openblas_symbols(*names):
     return None
 
 
-@functools.cache
-def _openblas_thread_calls():
-    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
-    calls = _openblas_symbols(
-        "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"
-    )
+def _typed_thread_calls(calls):
     if calls is None:
         return None
     get, put = calls
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     return get, put
+
+
+@functools.cache
+def _openblas_thread_calls():
+    """(get, set) thread-count calls of numpy's bundled OpenBLAS, or None."""
+    return _typed_thread_calls(_openblas_symbols(
+        "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"
+    ))
+
+
+@functools.cache
+def _scipy_openblas_thread_calls():
+    """The same calls of scipy's bundled OpenBLAS, which ARPACK and
+    `dpbtrs` use.  Call it only once `scipy.linalg`, which loads that
+    library, is imported."""
+    return _typed_thread_calls(_openblas_symbols(
+        "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads", wheel="scipy"
+    ))
 
 
 @functools.cache
@@ -237,30 +263,34 @@ def _dsyevr():
     return solve
 
 
-# The BLAS thread count is process-wide, so the pins that hold it are too.
+# The BLAS thread counts are process-wide, so the pins that hold them are too.
 _pin_lock = threading.Lock()
 _pin_holders = 0
-_pin_saved = None
+_pin_saved = []
 
 
 @contextlib.contextmanager
 def single_blas_thread():
-    """Hold numpy's OpenBLAS at one thread for a block; a no-op without it.
+    """Hold the bundled OpenBLAS copies at one thread for a block.
 
-    Small BLAS calls run faster on one thread than on several, and the
-    result does not depend on the count.  The last of overlapping
-    holders restores the count.
+    numpy's copy, and scipy's once `scipy.linalg` is imported; a no-op
+    where neither can be reached.  Small BLAS calls run faster on one
+    thread than on several, and the result does not depend on the
+    count.  The last of overlapping holders restores the counts.
     """
     global _pin_holders, _pin_saved
-    calls = _openblas_thread_calls()
-    if calls is None:
+    calls = [_openblas_thread_calls()]
+    if "scipy.linalg" in sys.modules:
+        calls.append(_scipy_openblas_thread_calls())
+    calls = [call for call in calls if call is not None]
+    if not calls:
         yield
         return
-    get, put = calls
     with _pin_lock:
         if _pin_holders == 0:
-            _pin_saved = get()
-            put(1)
+            _pin_saved = [(put, get()) for get, put in calls]
+            for put, _ in _pin_saved:
+                put(1)
         _pin_holders += 1
     try:
         yield
@@ -268,12 +298,22 @@ def single_blas_thread():
         with _pin_lock:
             _pin_holders -= 1
             if _pin_holders == 0:
-                put(_pin_saved)
+                for put, count in _pin_saved:
+                    put(count)
 
 
-def batch_rows(n: int) -> int:
-    """Rows per batched eigendecomposition of n-node graphs."""
-    return max(1, BATCH_BYTES // (8 * n * n))
+def batch_rows(n: int, edges: int = 0) -> int:
+    """Rows per block of n-node graphs with `edges` edges.
+
+    Up to DENSE_SOLVER_MAX nodes, as many as keep the dense route's
+    (B, n, n) float64 stack near BATCH_BYTES.  Beyond it each graph is
+    solved alone, so a block's arrays are per row, of n or `edges`
+    entries: as many rows as keep ROW_ARRAYS (B, n + edges) float64
+    arrays near BATCH_BYTES.
+    """
+    if n <= DENSE_SOLVER_MAX:
+        return max(1, BATCH_BYTES // (8 * n * n))
+    return max(1, BATCH_BYTES // (8 * ROW_ARRAYS * (n + edges)))
 
 
 def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
@@ -283,8 +323,8 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
     DENSE_SOLVER_MAX nodes, chunks of at most `batch_rows(n)` graphs
     are solved densely on `thread_cap()` workers (`_dense_coordinates`);
     above it, each graph's shifted matrix is written into a band on the
-    edge set's cached reverse Cuthill-McKee layout, Cholesky-factored,
-    and given its own shift-inverted partial solve, serially.  Each
+    edge set's cached `_band_layout`, Cholesky-factored, and given its
+    own shift-inverted partial solve, serially.  Each
     graph's dimension is widened to its degenerate group.  The result
     does not depend on the worker count.
 
@@ -301,13 +341,19 @@ def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
         so distances over all k columns are distances in its own embedding.
     """
     if n > DENSE_SOLVER_MAX:
+        import scipy.linalg  # noqa: F401  loads scipy's OpenBLAS, for the pin to hold
+
         layout = _band_layout(ei, ej, n)
-        parts = [_iterative_coordinates(w, ei, ej, n, r, layout) for w in weights]
+        with single_blas_thread():
+            parts = [_iterative_coordinates(w, ei, ej, n, r, layout) for w in weights]
     else:
         parts = _dense_chunks(weights, ei, ej, n, r)
-    k = max((part.shape[2] for part in parts), default=0)
-    padded = [np.pad(part, ((0, 0), (0, 0), (0, k - part.shape[2]))) for part in parts]
-    return np.concatenate(padded) if padded else np.zeros((0, n, 0))
+    out = np.zeros((len(weights), n, max((part.shape[2] for part in parts), default=0)))
+    at = 0
+    for part in parts:
+        out[at : at + len(part), :, : part.shape[2]] = part
+        at += len(part)
+    return out
 
 
 def _dense_chunks(weights, ei, ej, n: int, r: int) -> list[np.ndarray]:
@@ -443,11 +489,14 @@ class _PairFetcher:
 def _band_layout(ei, ej, n: int):
     """Lower band layout of I - S A S - SHIFT I for one edge set, cached.
 
-    Returns (perm, kd, pos): `perm` is the reverse Cuthill-McKee order of
-    the nodes (position p holds node perm[p]), `kd` the half-bandwidth in
-    that order, and `pos` each edge's flat position in an (n, kd + 1)
-    array whose transpose is LAPACK's (kd + 1, n) lower band store.  The
-    cache keeps `impute`'s blocks on one farm from recomputing it.
+    Returns (perm, kd, pos): `perm` is the node order (position p holds
+    node perm[p]), `kd` the half-bandwidth in that order, and `pos` each
+    edge's flat position in an (n, kd + 1) array whose transpose is
+    LAPACK's (kd + 1, n) lower band store.  The order is the narrower of
+    the given one and reverse Cuthill-McKee's, the given one on a tie: a
+    row-major r x c king grid has half-bandwidth c + 1 as given (17 on
+    16x16), while RCM's diagonal sweeps give it about 2c (31).  The cache
+    keeps `impute`'s blocks on one farm from recomputing it.
     """
     return _band_layout_of(n, *(np.asarray(e, np.intp).tobytes() for e in (ei, ej)))
 
@@ -459,8 +508,12 @@ def _band_layout_of(n: int, ei_bytes: bytes, ej_bytes: bytes):
 
     ei, ej = (np.frombuffer(e, dtype=np.intp) for e in (ei_bytes, ej_bytes))
     # Not symmetric mode: the order is computed on A + A^T.
-    perm = reverse_cuthill_mckee(csr_array((np.ones(ei.size), (ei, ej)), shape=(n, n)))
-    place = np.argsort(perm)
+    rcm = reverse_cuthill_mckee(csr_array((np.ones(ei.size), (ei, ej)), shape=(n, n)))
+    rcm_place = np.argsort(rcm)
+    if np.abs(rcm_place[ei] - rcm_place[ej]).max(initial=0) < np.abs(ei - ej).max(initial=0):
+        perm, place = rcm, rcm_place
+    else:
+        perm = place = np.arange(n)
     lo, off = np.minimum(place[ei], place[ej]), np.abs(place[ei] - place[ej])
     kd = int(off.max(initial=0))
     pos = lo * (kd + 1) + off
@@ -498,8 +551,16 @@ def _iterative_coordinates(weights, ei, ej, n: int, r: int, layout) -> np.ndarra
     need = min(r, n - 1)
     k = min(n - 1, need + 2)
     while True:
+        # ARPACK's Lanczos basis, smaller than scipy's default of
+        # max(2k + 1, 20).  Over 30 graphs of a king grid, r = 2 (k = 4),
+        # matvecs and ms per graph fell from 35.4 and 1.00 to 29.0 and 0.77
+        # at 16x16, and from 36.0 and 1.83 to 33.2 and 1.71 at 24x24; the
+        # eigenvalues moved by at most 2e-16.
+        ncv = min(n, max(2 * k + 1, 12))
         # In shift-invert mode eigsh applies only OPinv; A lends its shape.
-        vals, u = eigsh(inverse, k=k, sigma=SHIFT, which="LM", v0=v0, OPinv=inverse)
+        vals, u = eigsh(
+            inverse, k=k, ncv=ncv, sigma=SHIFT, which="LM", v0=v0, OPinv=inverse
+        )
         order = np.argsort(vals)
         vals = vals[order]
         if widen_to_degenerate_group(vals, min(need, k - 1)) + 1 < k:

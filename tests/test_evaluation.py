@@ -330,6 +330,30 @@ def test_eval_memory_flat_in_panel_length(method, shape, scored):
     assert peaks[1] <= 1.2 * peaks[0]
 
 
+def test_large_farm_memory_bounded_by_blocks():
+    """Above DENSE_SOLVER_MAX, weighted impute stays within 2 BATCH_BYTES
+    beyond its panel and result, and complete-setup leave-one-out, whose
+    block is one row copied for each of its 256 scored cells, within 12."""
+    layout, graph = _grid_setup(16, 16)
+    cfg = EstimatorConfig(method="weighted_graph")
+    holed = _holed_panel(layout, 250, 0.02, seed=60)
+    full = synth_panel(layout, 2, spatial_scale=1.2, temporal_persistence=0.5, seed=61)
+    run_estimator(_holed_panel(layout, 5, 0.02, seed=62), cfg, graph=graph)  # warm-up
+    tracemalloc.start()
+    try:
+        run_estimator(holed, cfg, graph=graph)
+        impute_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        rep = leave_one_out_eval(full, cfg, "complete", graph=graph)
+        loo_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.scored_counts.sum() == 2 * 256
+    # The result's filled copy and provenance add up to about one panel.
+    assert impute_peak <= 2 * holed.values.nbytes + 2 * spectral.BATCH_BYTES
+    assert loo_peak <= full.values.nbytes + 12 * spectral.BATCH_BYTES
+
+
 def test_eval_unscored_sensor_reports_nan_and_is_excluded():
     layout, graph = _grid_setup(2, 2)
     full = synth_panel(layout, 40, spatial_scale=1.0, temporal_persistence=0.4, seed=40)

@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spectral_imputer import cli, estimators
+from spectral_imputer import cli, estimators, spectral
 from spectral_imputer.cli import main
 from spectral_imputer.errors import InputError
 from spectral_imputer.estimators import (
@@ -898,6 +899,46 @@ def test_cli_sweep_outputs(tmp_path):
     assert header == "method,setup,gaussian,naive,triweight"
     header = (out / "by_dim.csv").read_text().strip().split("\n")[0]
     assert header == "method,setup,1,2"
+
+
+def test_cli_large_farm_impute_does_not_depend_on_block_rows(tmp_path, monkeypatch):
+    # Above DENSE_SOLVER_MAX blocks are sized by per-row arrays, so they
+    # hold many more rows than the dense route's (B, n, n) rule would.
+    layout_csv = _layout_file(tmp_path, rows=16, cols=16)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    edge_count = len(Path(edges).read_text().splitlines()) - 1
+    assert spectral.batch_rows(256, edge_count) >= 8
+    outputs = []
+    for label in ("sized", "two-row"):
+        if label == "two-row":
+            monkeypatch.setattr(estimators, "batch_rows", lambda n, edges=0: 2)
+        out = tmp_path / label
+        rc = main(
+            ["impute", "--method", "weighted_graph", "--layout", layout_csv,
+             "--edges", edges, "--panel", masked_csv, "--out", str(out)]
+        )
+        assert rc == 0
+        outputs.append([(out / name).read_bytes() for name in ("filled.csv", "provenance.csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_sweep_ranks_rounding_ties_in_configuration_order(tmp_path):
+    # Under the naive kernel every method is the plain mean, so the three
+    # improvements differ only by rounding, about 1e-17 either way.
+    layout_csv = _layout_file(tmp_path)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    out = tmp_path / "sw"
+    methods = ["location", "unweighted_graph", "weighted_graph"]
+    rc = main(
+        ["sweep", "--layout", layout_csv, "--edges", edges, "--panel", masked_csv,
+         "--methods", ",".join(methods), "--kernels", "naive", "--dims", "2",
+         "--setups", "complete", "--out", str(out)]
+    )
+    assert rc == 0
+    rows = (out / "ranked.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == methods
 
 
 @pytest.mark.parametrize(

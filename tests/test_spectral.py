@@ -388,6 +388,43 @@ class TestIterativeRoute:
                 want = target_distances(dense, [target] * len(weights))
                 assert np.allclose(got, want, rtol=0.0, atol=1e-8)
 
+    def test_band_keeps_the_given_order_where_it_is_narrower(self):
+        # Row-major, a 16x16 king grid's band spans 17 off-diagonals; the
+        # reverse Cuthill-McKee order would give it 31.
+        _, ei, ej, n = _king16_batch()
+        perm, kd, _ = spectral._band_layout(ei, ej, n)
+        assert kd == 17 and np.array_equal(perm, np.arange(n))
+        rename = np.random.default_rng(3).permutation(n)
+        perm, kd, _ = spectral._band_layout(rename[ei], rename[ej], n)
+        assert kd <= 31 and not np.array_equal(perm, np.arange(n))
+
+    def test_both_blas_copies_pinned_during_the_solve(self, monkeypatch, blas):
+        import scipy.sparse.linalg as sparse_linalg
+
+        calls = spectral._scipy_openblas_thread_calls()
+        if calls is None:
+            count = [1]
+            calls = (lambda: count[0], lambda k: count.__setitem__(0, k))
+            monkeypatch.setattr(spectral, "_scipy_openblas_thread_calls", lambda: calls)
+        get, put = calls
+        seen = []
+        eigsh = sparse_linalg.eigsh
+
+        def spy(*args, **kwargs):
+            seen.append((blas(), get()))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", spy)
+        weights, ei, ej, n = _king16_batch()
+        before = get()
+        put(2)
+        try:
+            batched_coordinates(weights, ei, ej, n, 2)
+            assert len(seen) >= len(weights) and set(seen) == {(1, 1)}
+            assert (blas(), get()) == (2, 2)
+        finally:
+            put(before)
+
     def test_failed_factor_falls_back_to_the_dense_route(self, monkeypatch):
         import scipy.linalg.lapack as lapack
 
@@ -396,7 +433,7 @@ class TestIterativeRoute:
         fallen = batched_coordinates(weights, ei, ej, n, 2)
         monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", n)
         dense = batched_coordinates(weights, ei, ej, n, 2)
-        # The same dense solve, though with the BLAS thread count unpinned;
+        # The same dense solve, one graph at a time rather than in chunks;
         # degenerate rows may come out in another basis of their group.
         assert fallen.shape == dense.shape
         for target in range(0, n, 15):
