@@ -1,10 +1,11 @@
 """Command-line surface.
 
-One command per invocation; every command writes its outputs into an
-`--out` directory along with a manifest (settings echo + version) that
-is enough to reproduce them.  Outputs are staged in memory and committed
-atomically at the end, so a failing run leaves no partial files.  Errors
-from this package exit nonzero with a single-line diagnostic.
+One command per invocation.  Each handler builds its output texts in
+memory; `main` adds a manifest (settings echo + version) that is enough
+to reproduce them, and only then creates `--out` and commits every file
+atomically, so a failing run leaves neither files nor the directory.
+Table cells are formatted in one place, `io._table_text`.  Errors from
+this package exit nonzero with a single-line diagnostic.
 """
 
 from __future__ import annotations
@@ -65,13 +66,21 @@ def _settings(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k != "command"}
 
 
-def _commit(staged) -> None:
+def _commit(staged, out: str) -> None:
     """Write all staged (path, text) pairs to temp files, then rename them all.
 
-    A failure deletes only temp files: a previous run's outputs stay intact.
+    `out` is created here, when every text is ready.  A failure deletes the
+    temp files, and every directory this call created: a previous run's
+    outputs stay intact and a first run leaves nothing.
     """
+    created = []  # `out` and its missing parents, deepest first
+    directory = os.path.abspath(out)
+    while not os.path.isdir(directory):
+        created.append(directory)
+        directory = os.path.dirname(directory)
     temps = []
     try:
+        os.makedirs(out, exist_ok=True)
         for path, text in staged:
             temps.append((atomic_write_text(path, text, defer=True), path))
         for tmp, path in temps:
@@ -80,11 +89,13 @@ def _commit(staged) -> None:
         for tmp, _ in temps:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
+        for directory in created:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         raise
 
 
 def _out_path(args, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, name)
 
 
@@ -121,13 +132,10 @@ def _cmd_graph(args):
     staged = [
         (_out_path(args, "edges.csv"), edge_list_csv_text(graph)),
         (_out_path(args, "components.csv"), components_csv_text(partition)),
-        (_out_path(args, "manifest.json"), manifest_text("graph", _settings(args))),
     ]
-    summary = (
-        f"graph: {graph.n} nodes, {len(graph.edges)} edges, "
-        f"{partition.count} components -> {args.out}"
+    return staged, (
+        f"graph: {graph.n} nodes, {len(graph.edges)} edges, {partition.count} components"
     )
-    return staged, summary
 
 
 def _cmd_embed(args):
@@ -139,13 +147,8 @@ def _cmd_embed(args):
     staged = [
         (_out_path(args, "embedding.csv"), embedding_csv_text(embeddings)),
         (_out_path(args, "embedding.svg"), embedding_svg_text(embeddings)),
-        (_out_path(args, "manifest.json"), manifest_text("embed", _settings(args))),
     ]
-    summary = (
-        f"embedded {embedded} of {graph.n} nodes "
-        f"({partition.count} components) -> {args.out}"
-    )
-    return staged, summary
+    return staged, f"embedded {embedded} of {graph.n} nodes ({partition.count} components)"
 
 
 def _estimator_config(args) -> EstimatorConfig:
@@ -174,13 +177,11 @@ def _cmd_impute(args):
     staged = [
         (_out_path(args, "filled.csv"), filled),
         (_out_path(args, "provenance.csv"), provenance_csv_text(result)),
-        (_out_path(args, "manifest.json"), manifest_text("impute", _settings(args))),
     ]
     if args.checkpoint_out:
         staged.append((args.checkpoint_out, checkpoint_csv_text(tracker)))
     tags = ", ".join(f"{k}={v}" for k, v in sorted(result.tag_counts().items()))
-    summary = f"imputed panel ({tags or 'all observed'}; {clamped} clamped) -> {args.out}"
-    return staged, summary
+    return staged, f"imputed panel ({tags or 'all observed'}; {clamped} clamped)"
 
 
 def _within(args, t_len: int):
@@ -202,14 +203,11 @@ def _cmd_evaluate(args):
     staged = [
         (_out_path(args, "report.csv"), report_csv_text(report)),
         (_out_path(args, "report.json"), report_json_text(report)),
-        (_out_path(args, "manifest.json"), manifest_text("evaluate", _settings(args))),
     ]
-    summary = (
+    return staged, (
         f"{args.method}/{args.setup}: mean_rmse={report.mean_rmse:.6f} "
-        f"mean_improvement={report.mean_improvement:.4f} "
-        f"({clamped} clamped) -> {args.out}"
+        f"mean_improvement={report.mean_improvement:.4f} ({clamped} clamped)"
     )
-    return staged, summary
 
 
 def _split_list(text: str, what: str, allowed) -> list[str]:
@@ -261,15 +259,12 @@ def _cmd_sweep(args):
         (_out_path(args, "ranked.csv"), ranked_csv_text(reports)),
         (_out_path(args, "by_kernel.csv"), pivot_csv_text(reports, "kernel")),
         (_out_path(args, "by_dim.csv"), pivot_csv_text(reports, "r")),
-        (_out_path(args, "manifest.json"), manifest_text("sweep", _settings(args))),
     ]
     best = reports[0]
-    summary = (
+    return staged, (
         f"swept {len(reports)} runs; best {best.method}/{best.kernel}/r={best.r} "
-        f"{best.setup} mean_improvement={best.mean_improvement:.4f} "
-        f"({clamped} clamped) -> {args.out}"
+        f"{best.setup} mean_improvement={best.mean_improvement:.4f} ({clamped} clamped)"
     )
-    return staged, summary
 
 
 def _cmd_simulate(args):
@@ -303,10 +298,7 @@ def _cmd_simulate(args):
             f"{args.mechanism} masked {missing} cells "
             f"({int(masked.complete_rows().sum())} complete rows)"
         )
-    staged.append(
-        (_out_path(args, "manifest.json"), manifest_text("simulate", _settings(args)))
-    )
-    return staged, "; ".join(summary_bits) + f" -> {args.out}"
+    return staged, "; ".join(summary_bits)
 
 
 def _cmd_regret(args):
@@ -318,14 +310,10 @@ def _cmd_regret(args):
     staged = [(_out_path(args, "regret_curve.csv"), regret_csv_text(curve))]
     if args.checkpoint_out:
         staged.append((args.checkpoint_out, checkpoint_csv_text(tracker)))
-    staged.append(
-        (_out_path(args, "manifest.json"), manifest_text("regret", _settings(args)))
-    )
-    summary = (
+    return staged, (
         f"tracked {len(graph.edges)} edges over {panel.t_len} rounds; "
-        f"final regret={curve.regret[-1]:.6f} ({clamped} clamped) -> {args.out}"
+        f"final regret={curve.regret[-1]:.6f} ({clamped} clamped)"
     )
-    return staged, summary
 
 
 _HANDLERS = {
@@ -339,9 +327,8 @@ _HANDLERS = {
 }
 
 
-def _add_estimator_flags(p, with_method=True):
-    if with_method:
-        p.add_argument("--method", required=True, choices=METHODS)
+def _add_estimator_flags(p):
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument(
         "--kernel", default="triweight", choices=KERNEL_NAMES,
         help="smoothing kernel (default: triweight)",
@@ -465,14 +452,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         staged, summary = _HANDLERS[args.command](args)
-        _commit(staged)
-    except SpectralImputerError as exc:
+        manifest = manifest_text(args.command, _settings(args))
+        _commit(staged + [(_out_path(args, "manifest.json"), manifest)], args.out)
+    except (SpectralImputerError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(summary)
+    print(f"{summary} -> {args.out}")
     return 0
 
 

@@ -13,6 +13,7 @@ estimators never count a cell's own sensor among its neighbors.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 
@@ -366,8 +367,9 @@ def apply_missingness(panel: Panel, spec: MissingnessSpec) -> Panel:
             lengths = np.minimum(rng.geometric(1.0 / spec.block_mean, size=starts.size), t)
             for start, length in zip(starts, lengths):
                 mask[start : start + length, col] = False
-    values = np.where(mask, panel.values, np.nan)
-    return Panel(panel.timestamps, panel.sensor_ids, values, mask)
+    masked = copy.copy(panel)  # still valid with fewer cells: no re-parse of timestamps
+    masked.values, masked.mask = np.where(mask, panel.values, np.nan), mask
+    return masked
 
 
 def synth_panel(

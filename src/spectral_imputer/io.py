@@ -1,9 +1,10 @@
 """File formats: layouts, edge lists, panels, reports, checkpoints, SVG.
 
 All tabular data is CSV with '\n' line endings; the manifest and nested
-reports are JSON with sorted keys.  Floats are written with repr so a
-file is a faithful record of the numbers that produced it, and every
-writer goes through an atomic temp-file-then-rename so readers never see
+reports are JSON with sorted keys.  `_table_text` is the one home of the
+cell format: floats are written with repr, so a file is a faithful
+record of the numbers that produced it, and integers in decimal.  Every
+file goes through an atomic temp-file-then-rename so readers never see
 a half-written file.  Missing panel cells are empty cells, not sentinel
 numbers.
 """
@@ -82,6 +83,19 @@ def _csv_text(rows) -> str:
 
 def _fmt(value) -> str:
     return repr(float(value))
+
+
+def _table_text(header, columns) -> str:
+    """CSV of `columns` under `header`, each column formatted once.
+
+    A float column is written with repr and an integer column in
+    decimal; any other column is taken as texts.  `csv.writer` quotes.
+    """
+    cells = []
+    for column in columns:
+        values = np.asarray(column)
+        cells.append(map(repr, values.tolist()) if values.dtype.kind in "fiu" else column)
+    return _csv_text(chain([header], zip(*cells)))
 
 
 _PLAIN_FIELD = re.compile(r"[\w.:+-]*").fullmatch
@@ -189,22 +203,15 @@ def read_edge_list(path):
 
 
 def edge_list_csv_text(graph: FarmGraph) -> str:
+    ends = [[a for a, _ in graph.edge_ids], [b for _, b in graph.edge_ids]]
     if graph.weights is None:
-        rows = [("from", "to")]
-        rows.extend(graph.edge_ids)
-    else:
-        rows = [("from", "to", "weight")]
-        for (a, b), w in zip(graph.edge_ids, graph.weight_array()):
-            rows.append((a, b, _fmt(w)))
-    return _csv_text(rows)
+        return _table_text(("from", "to"), ends)
+    return _table_text(("from", "to", "weight"), ends + [graph.weight_array()])
 
 
 def components_csv_text(partition) -> str:
     """Component membership CSV: node_id,component."""
-    rows = [("node_id", "component")]
-    for node, label in partition.assignments.items():
-        rows.append((node, str(label)))
-    return _csv_text(rows)
+    return _table_text(("node_id", "component"), [partition.node_ids, partition.labels])
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +430,12 @@ def embedding_svg_text(embeddings) -> str:
 # Reports.
 
 
+REPORT_COLUMNS = ("sensor", "scored", "rmse", "naive_rmse", "improvement")
+
+
 def report_csv_text(report: EvalReport) -> str:
-    rows = [("sensor", "scored", "rmse", "naive_rmse", "improvement")]
-    for record in report.sensor_rows():
-        rows.append(
-            (
-                record["sensor"],
-                str(record["scored"]),
-                _fmt(record["rmse"]),
-                _fmt(record["naive_rmse"]),
-                _fmt(record["improvement"]),
-            )
-        )
-    return _csv_text(rows)
+    records = report.sensor_rows()
+    return _table_text(REPORT_COLUMNS, [[r[c] for r in records] for c in REPORT_COLUMNS])
 
 
 def report_json_text(report: EvalReport) -> str:
@@ -460,25 +460,11 @@ RANKED_COLUMNS = (
 
 
 def ranked_csv_text(reports) -> str:
-    rows = [RANKED_COLUMNS]
-    for rep in reports:
-        s = rep.summary()
-        rows.append(
-            (
-                s["method"],
-                s["kernel"],
-                str(s["r"]),
-                _fmt(s["learning_rate"]),
-                s["setup"],
-                _fmt(s["mean_rmse"]),
-                _fmt(s["sd_rmse"]),
-                _fmt(s["mean_improvement"]),
-                _fmt(s["sd_improvement"]),
-                _fmt(s["improvement_of_means"]),
-                str(s["scored_cells"]),
-            )
-        )
-    return _csv_text(rows)
+    records = [rep.summary() for rep in reports]
+    for record in records:
+        # a float column even when the rate was given as an integer
+        record["learning_rate"] = float(record["learning_rate"])
+    return _table_text(RANKED_COLUMNS, [[r[c] for r in records] for c in RANKED_COLUMNS])
 
 
 def pivot_csv_text(reports, axis: str) -> str:
@@ -507,17 +493,10 @@ def pivot_csv_text(reports, axis: str) -> str:
 
 
 def regret_csv_text(curve: RegretCurve) -> str:
-    rows = [("t", "algorithm_loss", "best_constant_loss", "regret")]
-    for k in range(curve.t.size):
-        rows.append(
-            (
-                str(int(curve.t[k])),
-                _fmt(curve.algorithm_loss[k]),
-                _fmt(curve.best_constant_loss[k]),
-                _fmt(curve.regret[k]),
-            )
-        )
-    return _csv_text(rows)
+    return _table_text(
+        ("t", "algorithm_loss", "best_constant_loss", "regret"),
+        [curve.t, curve.algorithm_loss, curve.best_constant_loss, curve.regret],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -525,20 +504,12 @@ def regret_csv_text(curve: RegretCurve) -> str:
 
 
 def checkpoint_csv_text(tracker: SimilarityTracker) -> str:
-    rows = [CHECKPOINT_COLUMNS]
-    for k, (a, b) in enumerate(tracker.edge_ids):
-        rows.append(
-            (
-                a,
-                b,
-                _fmt(tracker.y[k]),
-                _fmt(tracker.s_hat[k]),
-                _fmt(tracker.cumulative_loss[k]),
-                str(int(tracker.revealed_count[k])),
-                _fmt(tracker.running_sum_revealed[k]),
-            )
-        )
-    return _csv_text(rows)
+    ids = tracker.edge_ids
+    return _table_text(
+        CHECKPOINT_COLUMNS,
+        [[a for a, _ in ids], [b for _, b in ids], tracker.y, tracker.s_hat,
+         tracker.cumulative_loss, tracker.revealed_count, tracker.running_sum_revealed],
+    )
 
 
 def read_checkpoint(path, graph: FarmGraph, eta=0.5) -> SimilarityTracker:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectral_imputer import spectral
+from spectral_imputer import estimators, spectral
 from spectral_imputer.errors import ConfigError, InputError, UndefinedScoreError
 from spectral_imputer.estimators import (
     EstimatorConfig,
@@ -100,6 +100,25 @@ def test_apply_missingness_reproducible_and_bounded():
     assert np.array_equal(a.values, b.values, equal_nan=True)
     c = apply_missingness(full, MissingnessSpec("mcar", 0.2, seed=8))
     assert not np.array_equal(a.mask, c.mask)
+
+
+def test_apply_missingness_derives_without_rechecking(monkeypatch):
+    # The source panel passed every check; the masked one re-parses no
+    # timestamp, and the source is left as it was.
+    layout = grid_layout(2, 3)
+    full = synth_panel(layout, 200, spatial_scale=1.0, temporal_persistence=0.5, seed=1)
+    before = full.values.copy()
+    parsed = []
+    monkeypatch.setattr(
+        estimators, "timestamp_keys", lambda stamps: parsed.append(stamps)
+    )
+    masked = apply_missingness(full, MissingnessSpec("block", 0.05, 4.0, seed=7))
+    assert parsed == []
+    assert masked.timestamps == full.timestamps and masked.sensor_ids == full.sensor_ids
+    assert not masked.mask.all()
+    assert np.isnan(masked.values[~masked.mask]).all()
+    assert np.array_equal(masked.values[masked.mask], full.values[masked.mask])
+    assert full.mask.all() and np.array_equal(full.values, before)
 
 
 def test_apply_missingness_rate_zero_keeps_everything():

@@ -1,5 +1,7 @@
 """File formats and the command-line surface."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -36,6 +38,7 @@ from spectral_imputer.graph import (
     propose_grid_edges,
 )
 from spectral_imputer.io import (
+    _table_text,
     atomic_write_text,
     checkpoint_csv_text,
     edge_list_csv_text,
@@ -501,6 +504,50 @@ def test_regret_text_row_count():
     assert len(lines) == 41
 
 
+def test_table_text_matches_a_csv_writer_reference():
+    ids = ["plain", "a,b", 'say "hi"', "two\nlines", "", "x"]
+    floats = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308])
+    np_ints = np.array([0, -3, 2**62, 7, 1, 2], dtype=np.int64)
+    py_ints = [0, 1, -1, 10**18, 5, 6]
+    py_floats = [0.1, 1.0, -2.5, 1e-300, 3.0, 0.0]
+    header = ("id", "f", "i", "j", "g")
+    buf = io.StringIO()
+    reference = csv.writer(buf, lineterminator="\n")
+    reference.writerow(header)
+    for k in range(6):
+        reference.writerow(
+            [ids[k], repr(float(floats[k])), str(int(np_ints[k])),
+             str(int(py_ints[k])), repr(float(py_floats[k]))]
+        )
+    text = _table_text(header, [ids, floats, np_ints, py_ints, py_floats])
+    assert text == buf.getvalue()
+    assert [row[1] for row in csv.reader(io.StringIO(text))][1:] == [
+        "nan", "inf", "-inf", "-0.0", "5e-324", "1e+308"
+    ]
+    assert _table_text(header, [[], [], [], [], []]) == "id,f,i,j,g\n"
+
+
+def test_empty_edge_set_writes_the_header_only():
+    layout, _ = _grid_setup(1, 3)
+    bare = build_graph(layout, [])
+    assert edge_list_csv_text(bare) == "from,to\n"
+    assert edge_list_csv_text(bare.with_weights([])) == "from,to,weight\n"
+
+
+def test_ranked_text_writes_an_integer_learning_rate_as_a_float():
+    layout, _ = _grid_setup(2, 3)
+    full = synth_panel(layout, 50, spatial_scale=1.2, temporal_persistence=0.5, seed=13)
+    panel = apply_missingness(full, MissingnessSpec("mcar", 0.1, seed=14))
+    config = EstimatorConfig(method="location", learning_rate=1)
+    report = leave_one_out_eval(panel, config, "complete", layout=layout)
+    s = report.summary()
+    row = [s["method"], s["kernel"], str(s["r"]), "1.0", s["setup"]]
+    row += [repr(s[c]) for c in ("mean_rmse", "sd_rmse", "mean_improvement",
+                                 "sd_improvement", "improvement_of_means")]
+    row.append(str(s["scored_cells"]))
+    assert ranked_csv_text([report]).split("\n", 1)[1] == ",".join(row) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints.
 
@@ -745,11 +792,14 @@ def test_cli_impute_weighted_checkpoint_continuity(tmp_path):
     assert (second.cumulative_loss >= first.cumulative_loss).all()
 
 
-def test_cli_rollback_removes_outputs_on_late_failure(tmp_path):
+def test_cli_rollback_removes_outputs_on_late_failure(tmp_path, capsys):
+    # The checkpoint's directory is missing, so the commit itself fails:
+    # --out and the missing parent it was created with go again.
     layout_csv = _layout_file(tmp_path)
     edges = _graph_files(tmp_path, layout_csv)
     masked_csv, _ = _simulate(tmp_path, layout_csv)
-    out = tmp_path / "imp"
+    capsys.readouterr()
+    out = tmp_path / "runs" / "imp"
     rc = main(
         ["impute", "--layout", layout_csv, "--edges", edges, "--panel", masked_csv,
          "--method", "weighted_graph",
@@ -757,7 +807,10 @@ def test_cli_rollback_removes_outputs_on_late_failure(tmp_path):
          "--out", str(out)]
     )
     assert rc == 2
-    assert not out.exists() or list(out.iterdir()) == []
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+    assert not out.parent.exists()
 
 
 def test_cli_failed_rerun_keeps_previous_outputs(tmp_path, monkeypatch):
@@ -840,7 +893,7 @@ def test_cli_bad_thread_cap_single_line_error(tmp_path, monkeypatch, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "error: SPECTRAL_IMPUTER_THREADS must be an integer, got 'zero'\n"
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("eta", ["1e308", "inf", "nan", "0"])
@@ -863,7 +916,7 @@ def test_cli_learning_rate_out_of_range_single_line_error(tmp_path, capsys, comm
     assert rc == 2
     err = capsys.readouterr().err
     assert err == "error: learning rate must be finite, in (0, 8.988e+307]\n"
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_evaluate_split_halves(tmp_path):
@@ -958,7 +1011,7 @@ def test_cli_no_scorable_cell_single_line_error(tmp_path, capsys, command):
     assert rc == 2
     err = capsys.readouterr().err.strip()
     assert err == "error: no cell is scorable under setup 'complete'"
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_simulate_deterministic(tmp_path):
@@ -981,6 +1034,8 @@ def test_cli_simulate_deterministic(tmp_path):
         (["--mechanism", "block", "--block-mean", "inf"], "outage length"),
         (["--seed", "-1"], "seed"),
         (["--driver-scale", "1e308", "--noise-scale", "1e308", "--seed", "3"], "finite"),
+        # fails after the full panel's text is built
+        (["--mechanism", "block", "--rate", "1.5"], "missingness rate"),
     ],
 )
 def test_cli_simulate_rejects_nan_settings(tmp_path, capsys, flags, message):
@@ -994,6 +1049,7 @@ def test_cli_simulate_rejects_nan_settings(tmp_path, capsys, flags, message):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and message in err
     assert "\n" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--spatial-scale", "1e-300"], ["--driver-scale", "1e308"]])
@@ -1111,7 +1167,7 @@ def test_cli_impute_rejects_nan_weight_floor(tmp_path, capsys):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and "weight floor" in err
     assert "\n" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_regret_curve(tmp_path):
@@ -1253,7 +1309,7 @@ def test_cli_bad_timestamps_single_line_error(tmp_path, capsys, timestamps, mess
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and message in err
     assert "\n" not in err
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_cli_version_flag(capsys):
