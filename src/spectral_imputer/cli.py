@@ -56,6 +56,7 @@ from .io import (
     report_csv_text,
     report_json_text,
     atomic_write_text,
+    _named_os_errors,
 )
 from .kernels import KERNEL_NAMES
 from .online import SimilarityTracker, regret_curve
@@ -84,7 +85,8 @@ def _commit(staged, out: str) -> None:
         for path, text in staged:
             temps.append((atomic_write_text(path, text, defer=True), path))
         for tmp, path in temps:
-            os.replace(tmp, path)
+            with _named_os_errors(path):
+                os.replace(tmp, path)
     except BaseException:
         for tmp, _ in temps:
             with contextlib.suppress(OSError):

@@ -393,6 +393,8 @@ def synth_panel(
     """
     if t_len < 1:
         raise InputError("panel length must be >= 1")
+    if layout.n == 0:
+        raise InputError("layout has no sensors")
     if not spatial_scale > 0:
         raise ConfigError("spatial scale must be > 0")
     if not 0.0 <= temporal_persistence < 1.0:

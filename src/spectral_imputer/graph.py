@@ -160,16 +160,6 @@ def adjacency(graph: FarmGraph) -> np.ndarray:
     return a
 
 
-def laplacian(graph: FarmGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized Laplacian L = D - A and degree matrix D.
-
-    D[i][i] is the i-th column sum of A.
-    """
-    a = adjacency(graph)
-    d = a.sum(axis=0)
-    return np.diag(d) - a, np.diag(d)
-
-
 def component_labels(n: int, ei, ej) -> np.ndarray:
     """Component label per node for edges (ei[k], ej[k]) over range(n).
 

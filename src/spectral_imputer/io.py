@@ -60,18 +60,28 @@ def atomic_write_text(path, text: str, *, defer: bool = False):
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    with _named_os_errors(path):
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.chmod(tmp, 0o666 & ~_umask())
+            if defer:
+                return tmp
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+
+
+@contextlib.contextmanager
+def _named_os_errors(path):
+    """Re-raise an `OSError` as one about `path`, not a temp file."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.chmod(tmp, 0o666 & ~_umask())
-        if defer:
-            return tmp
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
+        yield
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
 
 
 def _csv_text(rows) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, UndefinedBaselineError
+from .errors import InputError
 
 # Largest learning rate whose state bound 1 + 2 eta is a finite float.
 ETA_MAX = np.finfo(float).max / 2
@@ -104,10 +104,23 @@ class SimilarityTracker:
         """
         sims, rev = _as_similarities(similarities, self.edge_count, 2)
         guesses = np.empty(sims.shape)
-        losses = np.empty(sims.shape)
+        y, s_hat, twice_eta = self.y, self.s_hat, self._twice_eta
+        # `_step`'s recursion alone; what it adds up per round follows.
         for t in range(sims.shape[0]):
-            guesses[t] = self.s_hat
-            losses[t] = self._step(sims[t], rev[t])
+            guesses[t] = s_hat
+            err = np.where(rev[t], sims[t] - s_hat, 0.0)
+            err *= twice_eta
+            y += err
+            np.minimum(y, 1.0, out=s_hat)
+            np.maximum(s_hat, 0.0, out=s_hat)
+        losses = np.where(rev, sims, guesses)
+        losses -= guesses
+        losses *= losses
+        rounds = np.where(rev, sims, 0.0)
+        _add_rounds(self.running_sum_revealed, rounds)
+        np.copyto(rounds, losses)
+        _add_rounds(self.cumulative_loss, rounds)
+        self.revealed_count += rev.sum(axis=0)
         return guesses, losses
 
     def _step(self, r, rev):
@@ -125,6 +138,15 @@ class SimilarityTracker:
         return losses
 
 
+def _add_rounds(state, rounds):
+    """Add the rows of `rounds` to `state` in round order, as one `+=` per
+    round does, bit for bit; `rounds` is overwritten."""
+    if len(rounds):
+        rounds[0] += state
+        np.cumsum(rounds, axis=0, out=rounds)
+        state[:] = rounds[-1]
+
+
 def track_sequence(similarities, eta):
     """Run a fresh tracker over a (T, E) similarity history.
 
@@ -140,34 +162,6 @@ def track_sequence(similarities, eta):
 def _as_block(similarities) -> np.ndarray:
     sims = np.asarray(similarities, dtype=float)
     return sims[:, None] if sims.ndim == 1 else sims
-
-
-def best_constant(history) -> float:
-    """Mean of the revealed values, the best fixed guess in hindsight.
-
-    Raises:
-        UndefinedBaselineError: with nothing revealed.
-    """
-    h = np.asarray(history, dtype=float)
-    rev = ~np.isnan(h)
-    if not np.any(rev):
-        raise UndefinedBaselineError("no revealed values; baseline undefined")
-    return float(np.clip(np.mean(h[rev]), 0.0, 1.0))
-
-
-def regret(losses, history) -> float:
-    """Total paid loss minus the best fixed guess's loss on `history`.
-
-    Missing rounds contribute nothing to either side.  Can be negative.
-    """
-    losses = np.asarray(losses, dtype=float)
-    h = np.asarray(history, dtype=float)
-    if losses.shape != h.shape:
-        raise InputError("losses and history must have the same length")
-    c = best_constant(h)
-    rev = ~np.isnan(h)
-    best = float(np.sum((h[rev] - c) ** 2))
-    return float(losses.sum()) - best
 
 
 @dataclass(frozen=True)

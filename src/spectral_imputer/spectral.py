@@ -22,8 +22,11 @@ missing, share batched full `eigh` calls.  This dense route is the only
 code that runs on more than one thread: it splits the batch across
 `thread_cap()` workers, with numpy's bundled OpenBLAS pinned to one
 thread meanwhile, since BLAS threads and worker threads compete for the
-same cores; a ctypes call, like `eigh`, runs without the GIL.  Each
-graph is solved on its own, so the split changes no bit of the result.
+same cores; a ctypes call, like `eigh`, runs without the GIL.  The
+workers are a pool kept per calling thread, built by the first call that
+splits and rebuilt only when the cap changes, so a call costs no thread
+start.  Each graph is solved on its own, so the split changes no bit of
+the result.
 
 Above DENSE_SOLVER_MAX each graph gets a shift-inverted partial solve
 (ARPACK's Lanczos through `eigsh`, on a basis sized for the pairs asked
@@ -363,7 +366,8 @@ def _dense_chunks(weights, ei, ej, n: int, r: int) -> list[np.ndarray]:
     their count is a multiple of `thread_cap()`, so the workers get equal
     shares.  Runs serially with one worker, one chunk, or no OpenBLAS
     thread control (unpinned, worker threads are slower than one thread).
-    Where that control exists, both paths hold BLAS at one thread.
+    Where that control exists, both paths hold BLAS at one thread, until
+    every chunk is done, even when one raises.
     """
     workers = thread_cap()
     if len(weights) == 0:
@@ -374,10 +378,31 @@ def _dense_chunks(weights, ei, ej, n: int, r: int) -> list[np.ndarray]:
     with single_blas_thread():
         if workers == 1 or len(chunks) == 1 or _openblas_thread_calls() is None:
             return [run(chunk) for chunk in chunks]
-        from concurrent.futures import ThreadPoolExecutor  # kept off the import path
+        from concurrent.futures import wait  # kept off the import path
 
-        with ThreadPoolExecutor(min(workers, len(chunks))) as pool:
-            return list(pool.map(run, chunks))
+        pool = _worker_pool(workers)
+        futures = [pool.submit(run, chunk) for chunk in chunks]
+        wait(futures)
+        return [future.result() for future in futures]
+
+
+# Each calling thread keeps its own pool, so overlapping callers never
+# wait on each other's chunks.  A pool's idle workers exit once the pool
+# is collected: when it is replaced, or its calling thread ends.
+_pools = threading.local()
+
+
+def _worker_pool(workers: int):
+    """The calling thread's pool of `workers` threads, kept across calls.
+
+    Keyed by process too: a forked child has none of its parent's workers.
+    """
+    key = os.getpid(), workers
+    if getattr(_pools, "key", None) != key:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pools.pool, _pools.key = ThreadPoolExecutor(workers), key
+    return _pools.pool
 
 
 def _reduced_laplacians(weights, ei, ej, n: int):

@@ -17,6 +17,9 @@ import math
 import numpy as np
 import scipy.linalg
 
+from spectral_imputer.errors import InputError, UndefinedBaselineError
+from spectral_imputer.graph import adjacency
+
 
 def kernel_value(kind, u):
     if kind == "naive":
@@ -254,3 +257,41 @@ def provenance_csv_text(timestamps, sensor_ids, provenance, labels):
     for t, ts in enumerate(timestamps):
         rows.append([ts] + [labels[int(code)] for code in provenance[t]])
     return _csv(rows)
+
+
+def laplacian(graph):
+    """Unnormalized Laplacian L = D - A and degree matrix D.
+
+    D[i][i] is the i-th column sum of A.
+    """
+    a = adjacency(graph)
+    d = a.sum(axis=0)
+    return np.diag(d) - a, np.diag(d)
+
+
+def best_constant(history) -> float:
+    """Mean of the revealed values, the best fixed guess in hindsight.
+
+    Raises:
+        UndefinedBaselineError: with nothing revealed.
+    """
+    h = np.asarray(history, dtype=float)
+    rev = ~np.isnan(h)
+    if not np.any(rev):
+        raise UndefinedBaselineError("no revealed values; baseline undefined")
+    return float(np.clip(np.mean(h[rev]), 0.0, 1.0))
+
+
+def regret(losses, history) -> float:
+    """Total paid loss minus the best fixed guess's loss on `history`.
+
+    Missing rounds contribute nothing to either side.  Can be negative.
+    """
+    losses = np.asarray(losses, dtype=float)
+    h = np.asarray(history, dtype=float)
+    if losses.shape != h.shape:
+        raise InputError("losses and history must have the same length")
+    c = best_constant(h)
+    rev = ~np.isnan(h)
+    best = float(np.sum((h[rev] - c) ** 2))
+    return float(losses.sum()) - best

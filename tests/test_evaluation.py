@@ -373,6 +373,26 @@ def test_large_farm_memory_bounded_by_blocks():
     assert loo_peak <= full.values.nbytes + 12 * spectral.BATCH_BYTES
 
 
+@pytest.mark.parametrize("rows, cols, t_len", [(5, 7, 1000), (14, 14, 60)])
+def test_dense_farm_weighted_impute_memory_bounded_by_blocks(monkeypatch, rows, cols, t_len):
+    """Up to DENSE_SOLVER_MAX, weighted impute's blocks hold several engine
+    batches, and its two workers a stack each: the panel and result, plus
+    at most 6 BATCH_BYTES (measured: 4.8 on 5x7, 4.4 on 14x14)."""
+    monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "2")
+    layout, graph = _grid_setup(rows, cols)
+    cfg = EstimatorConfig(method="weighted_graph")
+    holed = _holed_panel(layout, t_len, 0.05, seed=60)
+    assert t_len > spectral.batch_rows(rows * cols)
+    run_estimator(_holed_panel(layout, 5, 0.02, seed=62), cfg, graph=graph)  # warm-up
+    tracemalloc.start()
+    try:
+        run_estimator(holed, cfg, graph=graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * holed.values.nbytes + 6 * spectral.BATCH_BYTES
+
+
 def test_eval_unscored_sensor_reports_nan_and_is_excluded():
     layout, graph = _grid_setup(2, 2)
     full = synth_panel(layout, 40, spatial_scale=1.0, temporal_persistence=0.4, seed=40)

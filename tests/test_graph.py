@@ -9,12 +9,12 @@ from spectral_imputer.graph import (
     adjacency,
     build_graph,
     components,
-    laplacian,
     pairwise_distances,
     propose_grid_edges,
 )
 
 from conftest import grid_layout, make_layout, random_connected_graph
+from oracles import laplacian
 
 
 def test_layout_rejects_duplicate_ids():

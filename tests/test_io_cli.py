@@ -813,6 +813,28 @@ def test_cli_rollback_removes_outputs_on_late_failure(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_cli_commit_failure_names_the_path_given(tmp_path, capsys, existing):
+    # Not the temp file the write went through, whose name changes every
+    # run: the checkpoint's directory is missing, or the checkpoint path
+    # is itself a directory, so the last rename fails.
+    layout_csv = _layout_file(tmp_path)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    capsys.readouterr()
+    ck = tmp_path / "nodir" / "ck.csv"
+    if existing:
+        ck.mkdir(parents=True)
+    rc = main(
+        ["impute", "--layout", layout_csv, "--edges", edges, "--panel", masked_csv,
+         "--method", "weighted_graph", "--checkpoint-out", str(ck),
+         "--out", str(tmp_path / "imp")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{ck}'" in err and ".tmp." not in err
+
+
 def test_cli_failed_rerun_keeps_previous_outputs(tmp_path, monkeypatch):
     layout_csv = _layout_file(tmp_path)
     masked_csv, _ = _simulate(tmp_path, layout_csv)
@@ -976,6 +998,32 @@ def test_cli_large_farm_impute_does_not_depend_on_block_rows(tmp_path, monkeypat
     assert outputs[0] == outputs[1]
 
 
+def test_cli_dense_farm_weighted_impute_does_not_depend_on_block_rows(tmp_path, monkeypatch):
+    # Up to DENSE_SOLVER_MAX weighted blocks hold several engine batches:
+    # all 80 rows in one block as sized, 28-row blocks (four batches of a
+    # patched 7-row `batch_rows`) and 2-row blocks write the same bytes.
+    layout_csv = _layout_file(tmp_path, rows=5, cols=7)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    assert estimators._DENSE_BLOCK_BATCHES * spectral.batch_rows(35) >= 80
+    outputs = []
+    for label, rows, batches in (("sized", None, None), ("four", 7, None), ("two-row", 2, 1)):
+        if rows is not None:
+            monkeypatch.setattr(estimators, "batch_rows", lambda n, edges=0, rows=rows: rows)
+        if batches is not None:
+            monkeypatch.setattr(estimators, "_DENSE_BLOCK_BATCHES", batches)
+        out = tmp_path / label
+        rc = main(
+            ["impute", "--method", "weighted_graph", "--layout", layout_csv,
+             "--edges", edges, "--panel", masked_csv, "--out", str(out),
+             "--checkpoint-out", str(out / "ck.csv")]
+        )
+        assert rc == 0
+        names = ("filled.csv", "provenance.csv", "ck.csv")
+        outputs.append([(out / name).read_bytes() for name in names])
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_cli_sweep_ranks_rounding_ties_in_configuration_order(tmp_path):
     # Under the naive kernel every method is the plain mean, so the three
     # improvements differ only by rounding, about 1e-17 either way.
@@ -1049,6 +1097,19 @@ def test_cli_simulate_rejects_nan_settings(tmp_path, capsys, flags, message):
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ") and message in err
     assert "\n" not in err
+    assert not out.exists()
+
+
+def test_cli_simulate_header_only_layout_single_line_error(tmp_path, capsys):
+    # Zero sensors once reached pairwise_distances as a 1-D array.
+    layout_csv = _write(tmp_path / "layout.csv", "sensor_id,latitude,longitude,nominal_capacity\n")
+    out = tmp_path / "sim"
+    rc = main(
+        ["simulate", "--layout", layout_csv, "--t-len", "20", "--spatial-scale", "1.5",
+         "--persistence", "0.6", "--out", str(out)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: layout has no sensors\n"
     assert not out.exists()
 
 

@@ -5,11 +5,11 @@ from spectral_imputer.errors import InputError, UndefinedBaselineError
 from spectral_imputer.online import (
     ETA_MAX,
     SimilarityTracker,
-    best_constant,
-    regret,
     regret_curve,
     track_sequence,
 )
+
+from oracles import best_constant, regret
 
 
 def one_edge_tracker(eta, s_hat=None):

@@ -1,5 +1,6 @@
 import glob
 import os
+import subprocess
 import sys
 import threading
 
@@ -16,7 +17,6 @@ from spectral_imputer.graph import (
     adjacency,
     build_graph,
     components,
-    laplacian,
     propose_grid_edges,
 )
 from spectral_imputer.spectral import (
@@ -30,7 +30,7 @@ from spectral_imputer.spectral import (
 )
 
 from conftest import chain_graph, grid_layout, make_layout, random_connected_graph
-from oracles import embedding_distance
+from oracles import embedding_distance, laplacian
 
 
 class TestSolveGeneralized:
@@ -248,9 +248,7 @@ class TestEmbed:
         emb = embed(g, components(g), r=3)[0]
         assert emb.r_eff == 4
 
-        from spectral_imputer.graph import laplacian as lap
-
-        L, D = lap(g)
+        L, D = laplacian(g)
         sol = solve_generalized(L, D)
         r_eff = widen_to_degenerate_group(sol.eigenvalues, 3)
         coords = sol.vectors[:, 1 : r_eff + 1]
@@ -608,6 +606,21 @@ def test_dense_solver_found_with_numpy_openblas():
     assert (spectral._dsyevr() is not None) == bool(bundled)
 
 
+_FORK_SCRIPT = """
+import os, signal, sys
+import numpy as np
+from spectral_imputer.spectral import batched_coordinates
+ei, ej = np.arange(4), (np.arange(4) + 1) % 4
+weights = np.random.default_rng(0).uniform(0.1, 1.0, (40, 4))
+want = batched_coordinates(weights, ei, ej, 4, 1)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)
+    os._exit(0 if np.array_equal(batched_coordinates(weights, ei, ej, 4, 1), want) else 1)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
 class TestEngineThreads:
     """The dense route splits its batch over `thread_cap()` workers."""
 
@@ -719,6 +732,61 @@ class TestEngineThreads:
         assert len(results) == 120 and all(np.array_equal(r, want) for r in results)
         assert len(seen) == 360 and {threads for threads, _ in seen} == {1}
         assert blas() == 2
+
+    def test_pool_kept_across_calls(self, monkeypatch, blas):
+        # Both chunks of a call wait for each other, so each call's two
+        # solves run on two distinct workers: the same two every call.
+        # Thread objects, kept alive here, tell threads apart where a
+        # finished thread's ident may be reused.
+        weights, ei, ej, n = _mixed_batch()[0]
+        meet = threading.Barrier(2, timeout=30)
+        workers = []
+
+        def before():
+            workers[-1].add(threading.current_thread())
+            meet.wait()
+
+        self._spy(monkeypatch, blas, before)
+        for _ in range(2):
+            workers.append(set())
+            batched_coordinates(weights, ei, ej, n, 1)
+            assert blas() == 2
+        assert len(workers[0]) == 2 and workers[0] == workers[1]
+        assert threading.current_thread() not in workers[0]
+
+    def test_pool_rebuilt_when_the_cap_changes(self, monkeypatch, blas):
+        # Three chunks that wait for each other need three workers; the
+        # two-worker pool's threads exit.
+        weights, ei, ej, n = _mixed_batch()[0]
+        meet = {"2": threading.Barrier(2, timeout=30), "3": threading.Barrier(3, timeout=30)}
+        workers = {"2": set(), "3": set()}
+
+        def before():
+            cap = os.environ["SPECTRAL_IMPUTER_THREADS"]
+            workers[cap].add(threading.current_thread())
+            meet[cap].wait()
+
+        self._spy(monkeypatch, blas, before)
+        batched_coordinates(weights, ei, ej, n, 1)
+        monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "3")
+        batched_coordinates(weights, ei, ej, n, 1)
+        assert len(workers["2"]) == 2 and len(workers["3"]) == 3
+        assert blas() == 2
+        for worker in workers["2"]:
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_its_own_pool(self):
+        # The child inherits the parent's kept pool object but none of its
+        # threads; a chunk queued there would wait forever.
+        src = os.path.dirname(os.path.dirname(spectral.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _FORK_SCRIPT], capture_output=True, text=True,
+            timeout=120, env=dict(os.environ, PYTHONPATH=path, SPECTRAL_IMPUTER_THREADS="2"),
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_serial_without_blas_control(self, monkeypatch):
         monkeypatch.setattr(spectral, "_openblas_thread_calls", lambda: None)
