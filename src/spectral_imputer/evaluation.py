@@ -233,10 +233,11 @@ def leave_one_out_eval(
     # Blocks of rows, the tracker replayed over each in turn as `impute`
     # does, keep memory flat in the panel's length.  weighted_graph copies
     # every scored cell's row.  On the dense route the blocks hold half of
-    # `impute`'s rows: at full size glibc would unmap and refault those
-    # copies every block.  Beyond it, where `impute`'s blocks are sized by
-    # per-row arrays, a row's scored cells bring up to n copies of it, so
-    # the blocks hold 1/n of `impute`'s rows.
+    # `batch_rows` (an eighth of weighted `impute`'s blocks): at a full
+    # batch glibc would unmap and refault those copies every block.  Beyond
+    # it, where `impute`'s blocks are sized by per-row arrays, a row's
+    # scored cells bring up to n copies of it, so the blocks hold 1/n of
+    # `impute`'s rows.
     edges = 0 if tracker is None else tracker.edge_count
     step = max(1, batch_rows(n, edges) // (2 if n <= DENSE_SOLVER_MAX else n))
     for start in range(0, panel.t_len, step):
