@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 
@@ -72,7 +73,9 @@ def _commit(staged, out: str) -> None:
 
     `out` is created here, when every text is ready.  A failure deletes the
     temp files, and every directory this call created: a previous run's
-    outputs stay intact and a first run leaves nothing.
+    outputs stay intact and a first run leaves nothing.  A target that is
+    a directory fails the commit before the first rename, not after the
+    renames before it have landed in `out`.
     """
     created = []  # `out` and its missing parents, deepest first
     directory = os.path.abspath(out)
@@ -84,6 +87,9 @@ def _commit(staged, out: str) -> None:
         os.makedirs(out, exist_ok=True)
         for path, text in staged:
             temps.append((atomic_write_text(path, text, defer=True), path))
+        for _, path in temps:
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         for tmp, path in temps:
             with _named_os_errors(path):
                 os.replace(tmp, path)

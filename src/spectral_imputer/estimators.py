@@ -100,6 +100,14 @@ class Panel:
     mask: np.ndarray
 
     def __post_init__(self):
+        self._check_cells()
+        keys = timestamp_keys(self.timestamps)
+        for k in range(1, len(keys)):
+            if not keys[k - 1] < keys[k]:
+                raise InputError("timestamps must be strictly increasing", row=k)
+
+    def _check_cells(self):
+        """Normalize and check every field but the timestamps' order."""
         self.timestamps = tuple(str(t) for t in self.timestamps)
         self.sensor_ids = tuple(str(s) for s in self.sensor_ids)
         self.values = np.asarray(self.values, dtype=float)
@@ -119,10 +127,6 @@ class Panel:
             raise InputError("observed panel values must lie in [0, 1]")
         if np.any(np.isfinite(self.values[~self.mask])):
             raise InputError("masked-out cells must hold NaN")
-        keys = timestamp_keys(self.timestamps)
-        for k in range(1, len(keys)):
-            if not keys[k - 1] < keys[k]:
-                raise InputError("timestamps must be strictly increasing", row=k)
 
     @classmethod
     def from_values(cls, timestamps, sensor_ids, values) -> "Panel":
@@ -257,18 +261,20 @@ def _kernel_fill(kind: str, dist, values, obs):
     return (weights * values).sum(axis=1), codes
 
 
-# Every estimator answers `estimate(values, obs, rows, targets, guesses)`:
-# values and obs are (B, N) row arrays, values finite and ignored where
-# obs is False; cell c is sensor targets[c] of row rows[c]; guesses are
-# the (B, E) tracker guesses, for weighted_graph.  It returns (C,) estimates
-# and provenance codes.  A cell's row observes another sensor, and its own
-# is never its neighbor: one more hole in leave-one-out, none in `impute`.
+# Every estimator answers `estimate(values, obs, rows, targets, guesses,
+# weights)`: values and obs are (B, N) row arrays, values finite and
+# ignored where obs is False; cell c is sensor targets[c] of row rows[c];
+# guesses are the (B, E) tracker guesses, for weighted_graph, and weights,
+# where the caller has them, the edge weights `edge_weights` forms from
+# them.  It returns (C,) estimates and provenance codes.  A cell's row
+# observes another sensor, and its own is never its neighbor: one more
+# hole in leave-one-out, none in `impute`.
 
 
 class _MeanEstimator:
     """naive: the plain mean of the row's other observed sensors."""
 
-    def estimate(self, values, obs, rows, targets, guesses=None):
+    def estimate(self, values, obs, rows, targets, guesses=None, weights=None):
         own = obs[rows, targets]
         sums = (values * obs).sum(axis=1)[rows] - np.where(own, values[rows, targets], 0.0)
         counts = obs.sum(axis=1)[rows] - own
@@ -288,7 +294,7 @@ class _FixedDistanceEstimator:
         self.dist = dist
         self.weights, self.far_sets = kernel_weight_table(kind, dist)
 
-    def estimate(self, values, obs, rows, targets, guesses=None):
+    def estimate(self, values, obs, rows, targets, guesses=None, weights=None):
         seen = obs.astype(float)
         total = (seen @ self.weights.T)[rows, targets]
         fast = ((seen @ self.far_sets.T)[rows, targets] > 0) & (total >= KERNEL_SUM_FLOOR)
@@ -349,14 +355,15 @@ class _WeightedRowImputer:
             return np.zeros(len(obs), dtype=bool)
         return obs.any(axis=1) & (edge_weights > self.weight_floor).all(axis=1)
 
-    def estimate(self, values, obs, rows, targets, guesses):
+    def estimate(self, values, obs, rows, targets, guesses, weights=None):
         """Batchable rows share one embedding call, the rest take `impute_row`."""
         # Hiding a sensor reweights its edges: an observed cell gets its own row.
         if obs[rows, targets].any():
             values, obs, guesses = values[rows], obs[rows], guesses[rows]
             obs[np.arange(rows.size), targets] = False
-            rows = np.arange(rows.size)
-        weights = self.edge_weights(values, obs, guesses)
+            rows, weights = np.arange(rows.size), None
+        if weights is None:
+            weights = self.edge_weights(values, obs, guesses)
         fast = self.batchable(obs, weights)[rows]
         estimates = np.empty(rows.size)
         codes = np.empty(rows.size, dtype=np.int8)
@@ -475,7 +482,7 @@ def _impute(panel: Panel, estimator, tracker: SimilarityTracker | None):
     provenance = np.where(
         panel.mask, int(Provenance.OBSERVED), int(Provenance.UNIMPUTABLE)
     ).astype(np.int8)
-    guesses = None
+    guesses = weights = None
     step = batch_rows(panel.n_sensors, 0 if tracker is None else tracker.edge_count)
     if tracker is not None and panel.n_sensors <= DENSE_SOLVER_MAX:
         step *= _DENSE_BLOCK_BATCHES
@@ -483,9 +490,12 @@ def _impute(panel: Panel, estimator, tracker: SimilarityTracker | None):
         mask = panel.mask[start : start + step]
         values = np.where(mask, panel.values[start : start + step], 0.0)
         if tracker is not None:
-            guesses, _ = tracker.replay(estimator.edge_weights(values, mask, np.nan))
+            weights = estimator.edge_weights(values, mask, np.nan)
+            guesses, _ = tracker.replay(weights)
+            # No sensor is hidden anew, so the guesses fill the unrevealed edges.
+            np.copyto(weights, guesses, where=np.isnan(weights))
         rows, targets = np.nonzero(~mask & mask.any(axis=1, keepdims=True))
-        estimates, codes = estimator.estimate(values, mask, rows, targets, guesses)
+        estimates, codes = estimator.estimate(values, mask, rows, targets, guesses, weights)
         filled[start + rows, targets] = estimates
         provenance[start + rows, targets] = codes
     return ImputationResult(panel.sensor_ids, panel.timestamps, filled, provenance)

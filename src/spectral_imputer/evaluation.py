@@ -428,8 +428,12 @@ def synth_panel(
     with np.errstate(over="ignore", invalid="ignore"):
         signal = driver_scale * driver[:, None] + noise_scale * field
         values = 1.0 / (1.0 + np.exp(-signal))
-    timestamps = tuple(str(float(t)) for t in range(t_len))
-    return Panel(timestamps, layout.ids, values, np.ones((t_len, n), dtype=bool))
+    # Timestamps 0.0, 1.0, ... increase by construction: only the cells are checked.
+    panel = Panel.__new__(Panel)
+    panel.timestamps = tuple(str(float(t)) for t in range(t_len))
+    panel.sensor_ids, panel.values, panel.mask = layout.ids, values, np.ones((t_len, n), bool)
+    panel._check_cells()
+    return panel
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,16 @@ subspace individually; a requested dimension that would split such a group
 is widened to include it whole, which keeps pairwise embedding distances
 basis-independent.
 
-Up to DENSE_SOLVER_MAX nodes each graph is solved densely.  An embedding
-needs only the lowest r + 2 pairs, so from PARTIAL_SOLVER_MIN nodes each
-graph gets LAPACK's `dsyevr` for those alone (more while a degenerate
-group reaches the last one fetched), called through ctypes from numpy's
-bundled OpenBLAS; smaller graphs, or all of them where that symbol is
-missing, share batched full `eigh` calls.  This dense route is the only
+Up to DENSE_SOLVER_MAX nodes each graph is solved densely, on its
+reduced matrix I - S A S (S = D^(-1/2)) built from the edges.  An
+embedding reads only pairs 1..r + 1: pair 0, eigenvalue 0 with vector
+D^(1/2) 1 (Belkin & Niyogi, 2003), is known.  So from PARTIAL_SOLVER_MIN
+nodes each graph gets LAPACK's `dsyevr` for pairs 1..r + 1 alone (more
+while a degenerate group reaches the last one fetched), called through
+ctypes from numpy's bundled OpenBLAS; smaller graphs, or all of them
+where that symbol is missing, share batched full `eigh` calls.  This
+route and the iterative one below form a graph's degrees and matrix
+entries by one code path, bit for bit.  The dense route is the only
 code that runs on more than one thread: it splits the batch across
 `thread_cap()` workers, with numpy's bundled OpenBLAS pinned to one
 thread meanwhile, since BLAS threads and worker threads compete for the
@@ -59,12 +63,15 @@ from .graph import ComponentPartition, FarmGraph
 # Dense eigensolves up to this many nodes; iterative partial solves beyond.
 DENSE_SOLVER_MAX = 200
 # From this many nodes the dense route asks LAPACK's `dsyevr` for each
-# graph's lowest pairs; below it one batched full `eigh` per chunk is
-# faster, as the per-graph call costs more than the pairs it skips.
-# King grids, r = 2, one thread of a 2-core x86 box, median us per graph
-# (eigh vs dsyevr): 16 nodes 50 vs 63, 18 nodes 67 vs 70, 20 nodes 84
-# vs 77, 24 nodes 128 vs 95.
-PARTIAL_SOLVER_MIN = 20
+# graph's lowest pairs but the trivial one; below it one batched full
+# `eigh` per chunk is faster, as the per-graph call costs more than the
+# pairs it skips.  King grids, r = 2, one thread of a 2-core x86 box,
+# `_dense_coordinates` on up to 400 graphs, median us per graph over 5
+# runs of 31 alternating rounds (eigh vs dsyevr, runs where dsyevr won):
+# 4x4 39 vs 41 (1 of 5), 2x8 42 vs 42 (2), 3x6 58 vs 51 (5), 2x9 56 vs
+# 49 (5), 4x5 69 vs 57 (5), 2x10 73 vs 56 (5).  On paths, whose full
+# solve is cheaper, `eigh` still won at 16-18 nodes: 29-33 vs 31-35 us.
+PARTIAL_SOLVER_MIN = 18
 # Eigenvalues within this of each other are treated as one degenerate group.
 DEGENERACY_TOL = 1e-9
 # Batched eigendecompositions take as many rows as keep one (B, n, n)
@@ -405,18 +412,28 @@ def _worker_pool(workers: int):
     return _pools.pool
 
 
+def _reduced_entries(weights, ei, ej, n: int):
+    """(B, n) S = D^(-1/2) and (B, E) entries -(w * (s_i * s_j)) of I - S A S.
+
+    Degrees are summed per row by `bincount`, over the edges in order, so
+    both routes give a graph the same bits whatever its batch.
+    """
+    count, flat = weights.shape[0], weights.ravel()
+    at = (np.arange(count) * n)[:, None]
+    degrees = np.bincount((at + ei).ravel(), flat, count * n)
+    degrees += np.bincount((at + ej).ravel(), flat, count * n)
+    s = 1.0 / np.sqrt(degrees.reshape(count, n))
+    return s, -(weights * (s[:, ei] * s[:, ej]))
+
+
 def _reduced_laplacians(weights, ei, ej, n: int):
-    """(B, n, n) stack I - S A S and its (B, n) S = D^(-1/2), per weighting."""
-    a = np.zeros((weights.shape[0], n, n))
-    a[:, ei, ej] = weights
-    a[:, ej, ei] = weights
-    s = 1.0 / np.sqrt(a.sum(axis=2))
-    # Exactly symmetric because s_i * s_j == s_j * s_i.
-    a *= s[:, :, None] * s[:, None, :]
-    np.negative(a, out=a)
-    idx = np.arange(n)
-    a[:, idx, idx] = 1.0
-    return a, s
+    """(B, n, n) stack I - S A S and its (B, n) S, built over the edges."""
+    s, off = _reduced_entries(weights, ei, ej, n)
+    a = np.zeros((weights.shape[0], n * n))
+    a[:, ei * n + ej] = off
+    a[:, ej * n + ei] = off
+    a[:, :: n + 1] = 1.0
+    return a.reshape(-1, n, n), s
 
 
 def _coordinates(eigenvalues, u, s, r: int) -> np.ndarray:
@@ -444,25 +461,27 @@ def _dense_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
 def _lowest_pairs(a, need: int, solve):
     """`np.linalg.eigh(a)` cut to the lowest k >= need + 2 pairs, or to n.
 
-    Each graph of the (B, n, n) stack fetches pairs 1..need + 2 from
-    `dsyevr`, then twice as many, up to n, while the degenerate group of
-    pair `need` reaches the last pair fetched, so a graph's pairs depend
-    on that graph alone.  Graphs fetching fewer than the most are padded
-    with zeros, past the end of their widened groups.
+    Pair 0 (eigenvalue 0, vector D^(1/2) 1) is known and never read, so
+    its slot is left zero: each graph of the (B, n, n) stack fetches pairs
+    1..need + 1 from `dsyevr`, then fills twice as many slots, up to n,
+    while the degenerate group of pair `need` reaches the last pair
+    fetched, so a graph's pairs depend on that graph alone.  Graphs
+    fetching fewer than the most are padded with zeros, past the end of
+    their widened groups.
     """
     count, n, _ = a.shape
     fetch = _PairFetcher(solve, n)
     k = min(n, need + 2)
-    vals, vecs = np.empty((count, k)), np.empty((count, k, n))
+    vals, vecs = np.zeros((count, k)), np.zeros((count, k, n))
     for b in range(count):
-        fetch(a[b], vals[b], vecs[b])
+        fetch(a[b], vals[b, 1:], vecs[b, 1:])
     more = {}
     for b in np.flatnonzero(widen_to_degenerate_group(vals, need) + 1 >= k):
         w = vals[b]
         while w.size < n and widen_to_degenerate_group(w, need) + 1 >= w.size:
             size = min(n, 2 * w.size)
-            w, z = np.empty(size), np.empty((size, n))
-            fetch(a[b], w, z)
+            w, z = np.zeros(size), np.zeros((size, n))
+            fetch(a[b], w[1:], z[1:])
             more[b] = w, z
     if more:
         k = max(w.size for w, _ in more.values())
@@ -474,10 +493,11 @@ def _lowest_pairs(a, need: int, solve):
 
 
 class _PairFetcher:
-    """fetch(m, w, z): the lowest w.size eigenpairs of an (n, n) matrix.
+    """fetch(m, w, z): eigenpairs 1..w.size of an (n, n) matrix, pair 0 skipped.
 
     Writes the eigenvalues, ascending, into w and eigenvector j into row
-    j of z; m, symmetric, is read and left intact.  The work arrays are
+    j of z; m, symmetric, is read and left intact.  LAPACK is asked for
+    pairs IL = 2 to w.size + 1 in its 1-based count.  The work arrays are
     this fetcher's own, so fetchers on different threads run in
     parallel; they live as long as it does, since LAPACK gets only their
     addresses.  A failed solve (nonzero info) takes `np.linalg.eigh`'s.
@@ -491,8 +511,8 @@ class _PairFetcher:
         lwork, liwork = np.empty(1), np.empty(1, np.int64)
         # LAPACK reads the C-ordered matrix column-major, i.e. transposed:
         # the same matrix, as it is symmetric.  Arguments before and after
-        # IU, the count of pairs fetched.
-        self.head = [102, b"V", b"I", b"L", n, self.matrix.ctypes.data, n, 0.0, 0.0, 1]
+        # IU, the last pair fetched.
+        self.head = [102, b"V", b"I", b"L", n, self.matrix.ctypes.data, n, 0.0, 0.0, 2]
         self.tail = [0.0, self.count.ctypes.data, self.found.ctypes.data]
         self.tail += [self.vectors.ctypes.data, n, self.isuppz.ctypes.data]
         query = [lwork.ctypes.data, -1, liwork.ctypes.data, -1]
@@ -504,11 +524,11 @@ class _PairFetcher:
 
     def __call__(self, m, w, z):
         np.copyto(self.matrix, m)
-        if self.solve(*self.head, w.size, *self.tail) == 0:
+        if self.solve(*self.head, w.size + 1, *self.tail) == 0:
             w[:], z[:] = self.found[: w.size], self.vectors[: w.size]
         else:
             full, u = np.linalg.eigh(m)
-            w[:], z[:] = full[: w.size], u[:, : w.size].T
+            w[:], z[:] = full[1 : w.size + 1], u[:, 1 : w.size + 1].T
 
 
 def _band_layout(ei, ej, n: int):
@@ -555,16 +575,15 @@ def _iterative_coordinates(weights, ei, ej, n: int, r: int, layout) -> np.ndarra
     solve as its inverse operator.  Fetches a few pairs past the
     requested dimension, and more until the widened group's boundary
     sits strictly inside what was fetched; a group that runs past what
-    the solver can expose is settled densely.
+    the solver can expose, or an ARPACK failure, is settled densely.
     """
     from scipy.linalg.lapack import dpbtrf, dpbtrs
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     perm, kd, pos = layout
-    s = 1.0 / np.sqrt(np.bincount(ei, weights, n) + np.bincount(ej, weights, n))
+    s, off = _reduced_entries(weights[None], ei, ej, n)
     store = np.zeros((n, kd + 1))
-    # Formed as `_reduced_laplacians` forms them: -(w * (s_i * s_j)).
-    store.flat[pos] = -(weights * (s[ei] * s[ej]))
+    store.flat[pos] = off[0]
     store[:, 0] = 1.0 - SHIFT
     factor, info = dpbtrf(store.T, lower=1, overwrite_ab=1)
     if info != 0:
@@ -582,16 +601,19 @@ def _iterative_coordinates(weights, ei, ej, n: int, r: int, layout) -> np.ndarra
         # at 16x16, and from 36.0 and 1.83 to 33.2 and 1.71 at 24x24; the
         # eigenvalues moved by at most 2e-16.
         ncv = min(n, max(2 * k + 1, 12))
-        # In shift-invert mode eigsh applies only OPinv; A lends its shape.
-        vals, u = eigsh(
-            inverse, k=k, ncv=ncv, sigma=SHIFT, which="LM", v0=v0, OPinv=inverse
-        )
+        try:
+            # In shift-invert mode eigsh applies only OPinv; A lends its shape.
+            vals, u = eigsh(
+                inverse, k=k, ncv=ncv, sigma=SHIFT, which="LM", v0=v0, OPinv=inverse
+            )
+        except ArpackError:  # no convergence, or no shift left to apply
+            return _dense_coordinates(weights[None], ei, ej, n, r)
         order = np.argsort(vals)
         vals = vals[order]
         if widen_to_degenerate_group(vals, min(need, k - 1)) + 1 < k:
             back = np.empty_like(u)
             back[perm] = u[:, order]
-            return _coordinates(vals[None], back[None], s[None], r)
+            return _coordinates(vals[None], back[None], s, r)
         if k >= n - 1:
             return _dense_coordinates(weights[None], ei, ej, n, r)
         k = min(n - 1, k * 2)

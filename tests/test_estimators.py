@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from spectral_imputer import spectral
+from spectral_imputer import estimators, spectral
 from spectral_imputer.errors import ConfigError, InputError
 from spectral_imputer.estimators import (
     EstimatorConfig,
@@ -472,6 +472,40 @@ class TestWeightedEngineAgreement:
         values[21, a] = np.nan
         res = self.check(make_panel(values, layout.ids), graph)
         assert (res.provenance == int(Provenance.WEIGHTED_KNN)).sum() > 7
+
+
+    def test_edge_similarities_built_once_per_block(self, monkeypatch):
+        # The replay's similarities, with the guesses filled in, are the
+        # block's edge weights: built once, and bit-identical to weights
+        # the estimator forms itself from the guesses.
+        n = 6
+        monkeypatch.setattr(spectral, "BATCH_BYTES", 7 * 8 * n * n)
+        blocks = -(-50 // (7 * estimators._DENSE_BLOCK_BATCHES))
+        rng = np.random.default_rng(67)
+        layout = make_layout(rng.random((n, 2)) * 2)
+        graph = random_connected_graph(rng, layout, extra_edges=3)
+        panel = random_masked_panel(rng, n, 50, p_missing=0.3)
+        built = []
+        similarities = estimators._edge_similarities
+
+        def counted(*args):
+            built.append(args[0].shape[0])
+            return similarities(*args)
+
+        monkeypatch.setattr(estimators, "_edge_similarities", counted)
+        res, tracker = impute_weighted_graph(panel, graph)
+        assert len(built) == blocks and sum(built) == 50
+        estimate = _WeightedRowImputer.estimate
+
+        def rebuilt(worker, values, obs, rows, targets, guesses, weights=None):
+            return estimate(worker, values, obs, rows, targets, guesses)
+
+        monkeypatch.setattr(_WeightedRowImputer, "estimate", rebuilt)
+        again, again_tracker = impute_weighted_graph(panel, graph)
+        assert np.array_equal(res.filled, again.filled, equal_nan=True)
+        assert np.array_equal(res.provenance, again.provenance)
+        for name in TRACKER_STATE:
+            assert np.array_equal(getattr(tracker, name), getattr(again_tracker, name))
 
 
 class TestSampling:

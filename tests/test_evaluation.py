@@ -121,6 +121,27 @@ def test_apply_missingness_derives_without_rechecking(monkeypatch):
     assert full.mask.all() and np.array_equal(full.values, before)
 
 
+def test_synth_panel_checks_its_cells_not_its_timestamps(monkeypatch):
+    # Its timestamps 0.0, 1.0, ... are not parsed; the panel equals one
+    # built through every check, and a NaN reading is still rejected.
+    layout = grid_layout(2, 3)
+    args = (layout, 50, 1.0, 0.5, 3)
+    parsed = []
+    keys = estimators.timestamp_keys
+    monkeypatch.setattr(
+        estimators, "timestamp_keys", lambda stamps: parsed.append(stamps) or keys(stamps)
+    )
+    panel = synth_panel(*args)
+    assert parsed == []
+    checked = Panel(panel.timestamps, panel.sensor_ids, panel.values, panel.mask)
+    assert len(parsed) == 1
+    assert checked.timestamps == panel.timestamps == tuple(f"{t}.0" for t in range(50))
+    assert checked.sensor_ids == panel.sensor_ids == layout.ids
+    assert np.array_equal(checked.values, panel.values) and panel.mask.all()
+    with pytest.raises(InputError, match="finite"):
+        synth_panel(layout, 100, 1.0, 0.5, seed=3, driver_scale=1e308, noise_scale=1e308)
+
+
 def test_apply_missingness_rate_zero_keeps_everything():
     layout = grid_layout(2, 2)
     full = synth_panel(layout, 50, spatial_scale=1.0, temporal_persistence=0.3, seed=2)

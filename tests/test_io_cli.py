@@ -835,6 +835,35 @@ def test_cli_commit_failure_names_the_path_given(tmp_path, capsys, existing):
     assert err.count("\n") == 1 and f"'{ck}'" in err and ".tmp." not in err
 
 
+@pytest.mark.parametrize("existing", [False, True])
+def test_cli_commit_failure_lands_no_output(tmp_path, capsys, existing):
+    # The checkpoint path is a directory, so its rename would fail after
+    # filled.csv and provenance.csv had landed in --out: no rename starts.
+    layout_csv = _layout_file(tmp_path)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    out = tmp_path / "i2"
+    args = ["impute", "--layout", layout_csv, "--edges", edges, "--panel", masked_csv,
+            "--out", str(out)]
+    before = None
+    if existing:
+        assert main(args + ["--method", "naive"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    capsys.readouterr()
+    rc = main(args + ["--method", "weighted_graph", "--checkpoint-out", str(ck)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"'{ck}'" in err
+    if existing:
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    else:
+        assert not out.exists()
+    assert list(ck.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp.")] == []
+
+
 def test_cli_failed_rerun_keeps_previous_outputs(tmp_path, monkeypatch):
     layout_csv = _layout_file(tmp_path)
     masked_csv, _ = _simulate(tmp_path, layout_csv)

@@ -7,7 +7,9 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectral_imputer import spectral
 from spectral_imputer.estimators import (
+    DEFAULT_WEIGHT_FLOOR,
     METHODS,
     EstimatorConfig,
     Panel,
@@ -213,3 +215,103 @@ def test_fixed_distance_and_mean_match_each_cells_neighbor_set(drawn):
             assert abs(estimates[c] - want) <= 1e-12
             assert codes[c] == code
             assert abs(means[c] - values[t, near].mean()) <= 1e-12
+
+
+@st.composite
+def weighted_graphs(draw):
+    """(weights, ei, ej, n): a connected graph of 3 to 40 nodes under 1 to
+    3 weightings, one of them uniform at times.
+
+    The graph is a random tree plus extra edges, a complete graph or a
+    king grid; uniform weights on the last two give degenerate groups.
+    Some graphs carry one edge just above the weight floor, on a cycle:
+    as a bridge between two parts it would leave the graph nearly cut,
+    its second eigenvalue within 1e-12 of the first, and every route's
+    vectors accurate only to about 1e-4 there."""
+    shape = draw(st.sampled_from(["random", "complete", "king"]))
+    if shape == "king":
+        rows, cols = draw(st.integers(1, 5)), draw(st.integers(3, 8))
+        grid = np.arange(rows * cols).reshape(rows, cols)
+        pairs = [(grid[:, :-1], grid[:, 1:]), (grid[:-1], grid[1:]),
+                 (grid[:-1, :-1], grid[1:, 1:]), (grid[:-1, 1:], grid[1:, :-1])]
+        ei = np.concatenate([a.ravel() for a, _ in pairs])
+        ej = np.concatenate([b.ravel() for _, b in pairs])
+        n = rows * cols
+    elif shape == "complete":
+        n = draw(st.integers(3, 12))
+        ei, ej = np.tril_indices(n, -1)
+    else:
+        n = draw(st.integers(3, 40))
+        edges = {(k, draw(st.integers(0, k - 1))) for k in range(1, n)}
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=2 * n))
+        edges |= {(max(a, b), min(a, b)) for a, b in extra if a != b}
+        ei, ej = (np.array(side) for side in zip(*sorted(edges)))
+    count = draw(st.integers(1, 3))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=count * ei.size,
+                                     max_size=count * ei.size))).reshape(count, ei.size)
+    if draw(st.booleans()):
+        weights[draw(st.integers(0, count - 1))] = draw(st.floats(0.05, 1.0))
+    on_cycles = [
+        e for e in range(ei.size)
+        if np.unique(component_labels(n, np.delete(ei, e), np.delete(ej, e))).size == 1
+    ]
+    if on_cycles and draw(st.booleans()):
+        weights[:, draw(st.sampled_from(on_cycles))] = 2 * DEFAULT_WEIGHT_FLOOR
+    return weights, ei, ej, n
+
+
+def _route_coordinates(route, weights, ei, ej, n, r, threads):
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setenv("SPECTRAL_IMPUTER_THREADS", str(threads))
+        # One graph per chunk, so two threads share a batch.
+        patched.setattr(spectral, "BATCH_BYTES", 8 * n * n)
+        if route == "eigh":
+            patched.setattr(spectral, "_dsyevr", lambda: None)
+        elif route == "dsyevr":
+            patched.setattr(spectral, "PARTIAL_SOLVER_MIN", 2)
+        else:
+            patched.setattr(spectral, "DENSE_SOLVER_MAX", 2)
+        return spectral.batched_coordinates(weights, ei, ej, n, r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=weighted_graphs(), r=st.integers(1, 3))
+def test_embedding_routes_agree(drawn, r):
+    """Batched `eigh`, the deflated `dsyevr` fetch and the iterative route
+    give every graph the same effective dimension and distances within
+    1e-8, and on the dense routes each graph's bits depend neither on its
+    batch mates nor on the worker count.
+
+    The iterative route is held to this only where the lowest r + 2
+    eigenvalues are simple.  From its one start vector ARPACK can return
+    one member of a repeated eigenvalue where there are two, and where
+    its Krylov space runs out it restarts from a random vector whose seed
+    carries over from call to call: seen on 17-node stars."""
+    weights, ei, ej, n = drawn
+    routes = ["eigh", "dsyevr", "iterative"]
+    if spectral._dsyevr() is None:
+        routes.remove("dsyevr")
+    got = {}
+    for route in routes:
+        coords = got[route] = _route_coordinates(route, weights, ei, ej, n, r, 1)
+        if route == "iterative":
+            continue
+        assert np.array_equal(_route_coordinates(route, weights, ei, ej, n, r, 2), coords)
+        for b, w in enumerate(weights):
+            alone = _route_coordinates(route, w[None], ei, ej, n, r, 1)[0]
+            k = alone.shape[1]
+            assert np.array_equal(coords[b, :, :k], alone) and not coords[b, :, k:].any()
+    spectra = np.linalg.eigvalsh(spectral._reduced_laplacians(weights, ei, ej, n)[0])
+    simple = (np.diff(spectra[:, 1 : r + 3], axis=1) > 1e-6).all(axis=1)
+    for route in routes[1:]:
+        rows = slice(None) if route == "dsyevr" else simple
+        widths = [(got[key][rows] != 0).any(axis=1).sum(axis=1) for key in (route, "eigh")]
+        assert np.array_equal(*widths)
+        for target in range(n):
+            targets = [target] * len(weights)
+            assert np.allclose(
+                spectral.target_distances(got[route], targets)[rows],
+                spectral.target_distances(got["eigh"], targets)[rows],
+                rtol=0.0, atol=1e-8,
+            )

@@ -440,6 +440,21 @@ class TestIterativeRoute:
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+    def test_arpack_failure_falls_back_to_the_dense_route(self, monkeypatch):
+        # Seen on a 17-node star under DENSE_SOLVER_MAX = 2: ARPACK error 3,
+        # "no shifts could be applied", escaped as a traceback.
+        import scipy.sparse.linalg as sparse_linalg
+
+        def fail(*args, **kwargs):
+            raise sparse_linalg.ArpackError(3)
+
+        weights, ei, ej, n = _king_batch(5, 7, 4, 71, uniform=(1,))
+        dense = batched_coordinates(weights, ei, ej, n, 2)
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", 2)
+        monkeypatch.setattr(sparse_linalg, "eigsh", fail)
+        assert np.array_equal(batched_coordinates(weights, ei, ej, n, 2), dense)
+
+
 def _unband(band):
     """Symmetric dense matrix of a LAPACK lower band store."""
     n = band.shape[1]
@@ -550,9 +565,28 @@ class TestPartialSolve:
         monkeypatch.setattr(spectral._PairFetcher, "__call__", spy)
         monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "1")
         coords = batched_coordinates(weights, ei, ej, n, 2)
-        # Four graphs at r + 2 = 4 pairs, then the uniform one at 8, 16, 24.
-        assert sizes == [4, 4, 4, 4, 8, 16, 24]
+        # Pair 0 is never fetched: four graphs at pairs 1..r + 1 (3 pairs),
+        # then the uniform one fills 8, 16 and 24 slots (7, 15, 23 pairs).
+        assert sizes == [3, 3, 3, 3, 7, 15, 23]
         assert _widths(coords).tolist() == [2, n - 1, 2, 2]
+
+    def test_no_solve_asks_for_the_trivial_pair(self, monkeypatch):
+        solve = spectral._dsyevr()
+        ranges = []
+
+        def spy(*args):
+            if args[18] != -1:  # not a workspace query
+                ranges.append((args[9], args[10]))  # IL, IU, 1-based
+            return solve(*args)
+
+        monkeypatch.setattr(spectral, "_dsyevr", lambda: spy)
+        monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "1")
+        for weights, ei, ej, n in _partial_cases():
+            for r in (1, 2, 3):
+                ranges.clear()
+                batched_coordinates(weights, ei, ej, n, r)
+                assert ranges and {il for il, _ in ranges} == {2}
+                assert min(iu for _, iu in ranges) == min(n, r + 2)
 
     def test_failed_solve_takes_eigh_for_that_graph_alone(self, monkeypatch):
         weights, ei, ej, n = _king_batch(5, 7, 6, 43, uniform=(3,))
