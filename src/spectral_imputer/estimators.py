@@ -14,8 +14,10 @@ neighbor distances come from:
   similarities supplied by an online tracker.
 
 Every filled cell carries a provenance tag saying which path produced it.
-`make_estimator` builds the configured estimator; imputation runs it over
-every hole, and leave-one-out evaluation over hidden cells.
+`make_estimator` builds the configured estimator, and `_blocks` walks the
+panel in blocks of rows, with the tracker's guesses and edge weights;
+imputation runs the estimator over every hole of each block, and
+leave-one-out evaluation over hidden cells.
 """
 
 from __future__ import annotations
@@ -264,11 +266,11 @@ def _kernel_fill(kind: str, dist, values, obs):
 # Every estimator answers `estimate(values, obs, rows, targets, guesses,
 # weights)`: values and obs are (B, N) row arrays, values finite and
 # ignored where obs is False; cell c is sensor targets[c] of row rows[c];
-# guesses are the (B, E) tracker guesses, for weighted_graph, and weights,
-# where the caller has them, the edge weights `edge_weights` forms from
-# them.  It returns (C,) estimates and provenance codes.  A cell's row
-# observes another sensor, and its own is never its neighbor: one more
-# hole in leave-one-out, none in `impute`.
+# for weighted_graph, guesses are the (B, E) tracker guesses and weights
+# the block's edge weights, as `_blocks` yields them.  It returns (C,)
+# estimates and provenance codes.  A cell's row observes another sensor,
+# and its own is never its neighbor: one more hole in leave-one-out, none
+# in `impute`.
 
 
 class _MeanEstimator:
@@ -311,11 +313,11 @@ class _FixedDistanceEstimator:
         return estimates, codes
 
 
-def _edge_similarities(values, obs, ei, ej, unrevealed):
+def _edge_similarities(values, obs, ei, ej):
     """(B, E) similarity 1 - |a - b| of each edge's normalized readings a, b
-    where both ends are observed, else `unrevealed`."""
+    where both ends are observed, else NaN."""
     both = obs[:, ei] & obs[:, ej]
-    return np.where(both, 1.0 - np.abs(values[:, ei] - values[:, ej]), unrevealed)
+    return np.where(both, 1.0 - np.abs(values[:, ei] - values[:, ej]), np.nan)
 
 
 class _WeightedRowImputer:
@@ -337,10 +339,6 @@ class _WeightedRowImputer:
         self.weight_floor = weight_floor
         self.static_dist = static_embedding_distances(graph, r)
 
-    def edge_weights(self, values, obs, guesses):
-        """(B, E) revealed similarities, with `guesses` on the other edges."""
-        return _edge_similarities(values, obs, self.ei, self.ej, guesses)
-
     def batchable(self, obs, edge_weights) -> np.ndarray:
         """(B,) bool: rows embedded together, the rest by `impute_row`.
 
@@ -355,15 +353,15 @@ class _WeightedRowImputer:
             return np.zeros(len(obs), dtype=bool)
         return obs.any(axis=1) & (edge_weights > self.weight_floor).all(axis=1)
 
-    def estimate(self, values, obs, rows, targets, guesses, weights=None):
+    def estimate(self, values, obs, rows, targets, guesses, weights):
         """Batchable rows share one embedding call, the rest take `impute_row`."""
-        # Hiding a sensor reweights its edges: an observed cell gets its own row.
+        # Hiding a sensor puts the guesses on its edges: each cell gets its own row.
         if obs[rows, targets].any():
-            values, obs, guesses = values[rows], obs[rows], guesses[rows]
+            touched = (self.ei == targets[:, None]) | (self.ej == targets[:, None])
+            weights = np.where(touched, guesses[rows], weights[rows])
+            values, obs = values[rows], obs[rows]
             obs[np.arange(rows.size), targets] = False
-            rows, weights = np.arange(rows.size), None
-        if weights is None:
-            weights = self.edge_weights(values, obs, guesses)
+            rows = np.arange(rows.size)
         fast = self.batchable(obs, weights)[rows]
         estimates = np.empty(rows.size)
         codes = np.empty(rows.size, dtype=np.int8)
@@ -464,36 +462,45 @@ def make_estimator(
     return _WeightedRowImputer(graph, config.kernel, config.r, config.weight_floor)
 
 
+def _blocks(panel: Panel, estimator, tracker: SimilarityTracker | None, step: int):
+    """Yield (start, values, mask, guesses, weights) per block of `step` rows.
+
+    values are the block's readings, 0 where unobserved.  With a tracker
+    (weighted_graph), it is replayed over the block's revealed similarities
+    only, so a value never feeds its own weights: guesses are what it played
+    before each row, and weights the revealed similarities with the guesses
+    on the other edges.  Without one, both are None.
+    """
+    guesses = weights = None
+    for start in range(0, panel.t_len, step):
+        mask = panel.mask[start : start + step]
+        values = np.where(mask, panel.values[start : start + step], 0.0)
+        if tracker is not None:
+            weights = _edge_similarities(values, mask, estimator.ei, estimator.ej)
+            guesses, _ = tracker.replay(weights)
+            np.copyto(weights, guesses, where=np.isnan(weights))
+        yield start, values, mask, guesses, weights
+
+
 def _impute(panel: Panel, estimator, tracker: SimilarityTracker | None):
-    """Run `estimator` over every hole of the panel, in blocks of rows.
+    """Run `estimator` over every hole of the panel, in `_blocks` of rows.
 
     A row with nothing observed has no neighbor to draw on, so its cells
-    stay NaN, tagged unimputable, whatever the method.  With a tracker
-    (weighted_graph), each block first replays it over the block's revealed
-    similarities: the tracker learns only from those, so the value being
-    imputed never feeds its own weights, and each row is estimated with
-    the guesses the tracker played before it.  Blocks hold `batch_rows`
-    rows, which bounds the memory of every per-block array; weighted
-    blocks on the dense route hold _DENSE_BLOCK_BATCHES times as many, as
-    the engine cuts its (B, n, n) stacks to `batch_rows` graphs itself,
-    so each engine call has several chunks for its workers.
+    stay NaN, tagged unimputable, whatever the method.  Each row is
+    estimated with the guesses the tracker played before it.  Blocks hold
+    `batch_rows` rows, which bounds the memory of every per-block array;
+    weighted blocks on the dense route hold _DENSE_BLOCK_BATCHES times as
+    many, as the engine cuts its (B, n, n) stacks to `batch_rows` graphs
+    itself, so each engine call has several chunks for its workers.
     """
     filled = panel.values.copy()
     provenance = np.where(
         panel.mask, int(Provenance.OBSERVED), int(Provenance.UNIMPUTABLE)
     ).astype(np.int8)
-    guesses = weights = None
     step = batch_rows(panel.n_sensors, 0 if tracker is None else tracker.edge_count)
     if tracker is not None and panel.n_sensors <= DENSE_SOLVER_MAX:
         step *= _DENSE_BLOCK_BATCHES
-    for start in range(0, panel.t_len, step):
-        mask = panel.mask[start : start + step]
-        values = np.where(mask, panel.values[start : start + step], 0.0)
-        if tracker is not None:
-            weights = estimator.edge_weights(values, mask, np.nan)
-            guesses, _ = tracker.replay(weights)
-            # No sensor is hidden anew, so the guesses fill the unrevealed edges.
-            np.copyto(weights, guesses, where=np.isnan(weights))
+    for start, values, mask, guesses, weights in _blocks(panel, estimator, tracker, step):
         rows, targets = np.nonzero(~mask & mask.any(axis=1, keepdims=True))
         estimates, codes = estimator.estimate(values, mask, rows, targets, guesses, weights)
         filled[start + rows, targets] = estimates
@@ -538,7 +545,7 @@ def impute_naive(panel: Panel) -> ImputationResult:
 def revealed_similarity_rows(panel: Panel, graph: FarmGraph) -> np.ndarray:
     """(T, E) edge similarities where both endpoints are observed, else NaN."""
     ei, ej = graph.edge_index_arrays()
-    return _edge_similarities(panel.values, panel.mask, ei, ej, np.nan)
+    return _edge_similarities(panel.values, panel.mask, ei, ej)
 
 
 def impute_weighted_graph(

@@ -3,12 +3,12 @@
 The evaluation hides one observed cell at a time, re-runs the configured
 estimator on the modified row, and scores the estimate against the hidden
 truth.  For the time-varying graph method the per-row similarity guesses
-depend only on the rows before it, which the hide does not touch, so the
-tracker can be replayed ahead of the rows it serves and every (row, sensor)
-score computed independently.  So evaluation runs like `impute`: over
-blocks of rows, the tracker replayed over each block first, with one call
-of the impute estimator per block covering every scored cell; the
-estimators never count a cell's own sensor among its neighbors.
+depend only on the rows before it, which the hide does not touch, so every
+(row, sensor) score can be computed independently.  So evaluation walks
+`impute`'s `_blocks`, with the same guesses and edge weights, and calls the
+impute estimator on each block's scored cells; hiding a sensor puts the
+guesses on its edges, and the estimators never count a cell's own sensor
+among its neighbors.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, InputError, UndefinedScoreError
-from .estimators import (
-    EstimatorConfig,
-    Panel,
-    Provenance,
-    make_estimator,
-)
+from .estimators import EstimatorConfig, Panel, Provenance, _blocks, make_estimator
 from .graph import FarmGraph, FarmLayout, build_graph, propose_grid_edges
 from .graph import pairwise_distances
 from .online import SimilarityTracker
@@ -35,24 +30,6 @@ SETUPS = ("complete", "incomplete")
 # `sweep` ranks mean improvements rounded to this many decimals: methods
 # that coincide, as all do under the naive kernel, differ by about 1e-17.
 RANK_DECIMALS = 12
-
-
-def rmse(truth: np.ndarray, estimates: np.ndarray) -> float:
-    """Root mean squared error over aligned arrays.
-
-    Raises:
-        UndefinedScoreError: if the arrays are empty.
-    """
-    truth = np.asarray(truth, dtype=float)
-    estimates = np.asarray(estimates, dtype=float)
-    if truth.shape != estimates.shape:
-        raise InputError(
-            f"shape mismatch in rmse: {truth.shape} vs {estimates.shape}"
-        )
-    if truth.size == 0:
-        raise UndefinedScoreError("rmse over an empty set is undefined")
-    return float(np.sqrt(np.mean((truth - estimates) ** 2)))
-
 
 SPLITS = ("all", "first", "second")
 
@@ -230,22 +207,17 @@ def leave_one_out_eval(
     counts = np.zeros(n, dtype=int)
     squares = np.zeros((2, n))
     tags = np.zeros(len(Provenance), dtype=int)
-    # Blocks of rows, the tracker replayed over each in turn as `impute`
-    # does, keep memory flat in the panel's length.  weighted_graph copies
-    # every scored cell's row.  On the dense route the blocks hold half of
-    # `batch_rows` (an eighth of weighted `impute`'s blocks): at a full
-    # batch glibc would unmap and refault those copies every block.  Beyond
-    # it, where `impute`'s blocks are sized by per-row arrays, a row's
-    # scored cells bring up to n copies of it, so the blocks hold 1/n of
-    # `impute`'s rows.
+    # `impute`'s blocks, walked with their own step, keep memory flat in the
+    # panel's length.  weighted_graph copies every scored cell's row.  On
+    # the dense route the blocks hold half of `batch_rows` (an eighth of
+    # weighted `impute`'s blocks): at a full batch glibc would unmap and
+    # refault those copies every block.  Beyond it, where `impute`'s blocks
+    # are sized by per-row arrays, a row's scored cells bring up to n
+    # copies of it, so the blocks hold 1/n of `impute`'s rows, and the
+    # cells of a block are estimated `batch_rows` at a time.
     edges = 0 if tracker is None else tracker.edge_count
     step = max(1, batch_rows(n, edges) // (2 if n <= DENSE_SOLVER_MAX else n))
-    for start in range(0, panel.t_len, step):
-        mask = panel.mask[start : start + step]
-        values = np.where(mask, panel.values[start : start + step], 0.0)
-        guesses = None
-        if tracker is not None:
-            guesses, _ = tracker.replay(estimator.edge_weights(values, mask, np.nan))
+    for start, values, mask, guesses, weights in _blocks(panel, estimator, tracker, step):
         rows_within = None if within is None else within[start : start + step]
         targets, rows = np.nonzero(scorable_cells(mask, setup, rows_within).T)
         if rows.size == 0:
@@ -254,7 +226,12 @@ def leave_one_out_eval(
         estimates = baseline
         # The plain mean weights nothing, so naive reports no fallback counts.
         if config.method != "naive":
-            estimates, codes = estimator.estimate(values, mask, rows, targets, guesses)
+            chunk = batch_rows(n, edges) if n > DENSE_SOLVER_MAX else rows.size
+            parts = [
+                estimator.estimate(values, mask, rows[c], targets[c], guesses, weights)
+                for c in np.split(np.arange(rows.size), range(chunk, rows.size, chunk))
+            ]
+            estimates, codes = map(np.concatenate, zip(*parts))
             tags += np.bincount(codes, minlength=len(Provenance))
         counts += np.bincount(targets, minlength=n)
         for k, guess in enumerate((estimates, baseline)):

@@ -199,10 +199,6 @@ class ComponentPartition:
     def count(self) -> int:
         return max(self.labels) + 1 if self.labels else 0
 
-    @property
-    def assignments(self) -> dict[str, int]:
-        return dict(zip(self.node_ids, self.labels))
-
 
 def components(graph: FarmGraph, weight_floor: float = 0.0) -> ComponentPartition:
     """Partition nodes into components; edges with weight <= floor are absent."""

@@ -151,6 +151,31 @@ def _parse_float(text: str, path, line: int, what: str) -> float:
     return value
 
 
+def _table_rows(path, *headers):
+    """(header, rows) of a CSV table whose header is one of `headers`.
+
+    `rows` yields (line, row) pairs, each row checked against the header's
+    width when it is reached, so faults are reported in file order.
+    """
+    rows = _read_rows(path)
+    header = tuple(rows[0])
+    if header not in headers:
+        expected = " or ".join(",".join(h) for h in headers)
+        raise InputError(
+            f"{path} line 1: expected header {expected}, got {','.join(header)}"
+        )
+
+    def numbered():
+        for line, row in enumerate(rows[1:], start=2):
+            if len(row) != len(header):
+                raise InputError(
+                    f"{path} line {line}: expected {len(header)} fields, got {len(row)}"
+                )
+            yield line, row
+
+    return header, numbered()
+
+
 # ---------------------------------------------------------------------------
 # Layout and edge lists.
 
@@ -159,24 +184,16 @@ LAYOUT_HEADER = ("sensor_id", "latitude", "longitude", "nominal_capacity")
 
 def read_layout(path) -> FarmLayout:
     """Layout CSV: sensor_id,latitude,longitude,nominal_capacity."""
-    rows = _read_rows(path)
-    if tuple(rows[0]) != LAYOUT_HEADER:
-        raise InputError(
-            f"{path} line 1: expected header {','.join(LAYOUT_HEADER)}, "
-            f"got {','.join(rows[0])}"
+    _, rows = _table_rows(path, LAYOUT_HEADER)
+    sensors = [
+        Sensor(
+            row[0].strip(),
+            _parse_float(row[1], path, line, "latitude"),
+            _parse_float(row[2], path, line, "longitude"),
+            _parse_float(row[3], path, line, "capacity"),
         )
-    sensors = []
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != 4:
-            raise InputError(f"{path} line {line}: expected 4 fields, got {len(row)}")
-        sensors.append(
-            Sensor(
-                row[0].strip(),
-                _parse_float(row[1], path, line, "latitude"),
-                _parse_float(row[2], path, line, "longitude"),
-                _parse_float(row[3], path, line, "capacity"),
-            )
-        )
+        for line, row in rows
+    ]
     return FarmLayout(tuple(sensors))
 
 
@@ -187,25 +204,11 @@ def read_edge_list(path):
         (pairs, weights): id pairs in file order and a float array, or
         None when the file has no weight column.
     """
-    rows = _read_rows(path)
-    header = tuple(rows[0])
-    if header == ("from", "to"):
-        weighted = False
-    elif header == ("from", "to", "weight"):
-        weighted = True
-    else:
-        raise InputError(
-            f"{path} line 1: expected header from,to or from,to,weight, "
-            f"got {','.join(header)}"
-        )
+    header, rows = _table_rows(path, ("from", "to"), ("from", "to", "weight"))
+    weighted = len(header) == 3
     pairs = []
     weights = []
-    want = 3 if weighted else 2
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != want:
-            raise InputError(
-                f"{path} line {line}: expected {want} fields, got {len(row)}"
-            )
+    for line, row in rows:
         pairs.append((row[0].strip(), row[1].strip()))
         if weighted:
             weights.append(_parse_float(row[2], path, line, "edge weight"))
@@ -533,18 +536,9 @@ def read_checkpoint(path, graph: FarmGraph, eta=0.5) -> SimilarityTracker:
             graph, or a stored guess that is not the projection of its
             stored state.
     """
-    rows = _read_rows(path)
-    if tuple(rows[0]) != CHECKPOINT_COLUMNS:
-        raise InputError(
-            f"{path} line 1: expected header {','.join(CHECKPOINT_COLUMNS)}"
-        )
+    _, rows = _table_rows(path, CHECKPOINT_COLUMNS)
     by_edge = {}
-    for line, row in enumerate(rows[1:], start=2):
-        if len(row) != len(CHECKPOINT_COLUMNS):
-            raise InputError(
-                f"{path} line {line}: expected {len(CHECKPOINT_COLUMNS)} fields, "
-                f"got {len(row)}"
-            )
+    for line, row in rows:
         pair = (row[0].strip(), row[1].strip())
         if pair in by_edge:
             raise InputError(f"{path} line {line}: duplicate edge {pair}")

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import scipy.linalg
 
-from spectral_imputer.errors import InputError, UndefinedBaselineError
+from spectral_imputer.errors import InputError, UndefinedBaselineError, UndefinedScoreError
 from spectral_imputer.graph import adjacency
 
 
@@ -215,6 +215,21 @@ def oracle_impute_cell(
 # Panel CSV writers, cell by cell.
 
 
+def hidden_cell_weights(values_row, obs_row, guesses_row, edges, hidden):
+    """One row's edge weights with sensor `hidden` hidden, edge by edge.
+
+    The row is copied with the hidden sensor unobserved; an edge between
+    two observed sensors then carries similarity 1 - |a - b|, and every
+    other edge the tracker's guess.
+    """
+    obs = list(obs_row)
+    obs[hidden] = False
+    return [
+        1.0 - abs(values_row[a] - values_row[b]) if obs[a] and obs[b] else guesses_row[k]
+        for k, (a, b) in enumerate(edges)
+    ]
+
+
 def _raw_reading(value, capacity):
     """Raw reading that divides back to `value`, nudged an ulp at a time."""
     raw = value * capacity
@@ -267,6 +282,26 @@ def laplacian(graph):
     a = adjacency(graph)
     d = a.sum(axis=0)
     return np.diag(d) - a, np.diag(d)
+
+
+def assignments(partition) -> dict[str, int]:
+    """Component index of each node id."""
+    return dict(zip(partition.node_ids, partition.labels))
+
+
+def rmse(truth, estimates) -> float:
+    """Root mean squared error over aligned arrays.
+
+    Raises:
+        UndefinedScoreError: if the arrays are empty.
+    """
+    truth = np.asarray(truth, dtype=float)
+    estimates = np.asarray(estimates, dtype=float)
+    if truth.shape != estimates.shape:
+        raise InputError(f"shape mismatch in rmse: {truth.shape} vs {estimates.shape}")
+    if truth.size == 0:
+        raise UndefinedScoreError("rmse over an empty set is undefined")
+    return float(np.sqrt(np.mean((truth - estimates) ** 2)))
 
 
 def best_constant(history) -> float:

@@ -23,7 +23,7 @@ from spectral_imputer.kernels import WeightVector
 from spectral_imputer.online import SimilarityTracker
 
 from conftest import chain_graph, make_layout, random_connected_graph
-from oracles import oracle_impute_cell
+from oracles import hidden_cell_weights, oracle_impute_cell
 
 
 def make_panel(rows, ids):
@@ -476,8 +476,9 @@ class TestWeightedEngineAgreement:
 
     def test_edge_similarities_built_once_per_block(self, monkeypatch):
         # The replay's similarities, with the guesses filled in, are the
-        # block's edge weights: built once, and bit-identical to weights
-        # the estimator forms itself from the guesses.
+        # block's edge weights: built once per block, and a hidden cell's
+        # weights bit-equal the reference's, which rebuilds them from the
+        # copied row with the hidden sensor unobserved.
         n = 6
         monkeypatch.setattr(spectral, "BATCH_BYTES", 7 * 8 * n * n)
         blocks = -(-50 // (7 * estimators._DENSE_BLOCK_BATCHES))
@@ -493,19 +494,32 @@ class TestWeightedEngineAgreement:
             return similarities(*args)
 
         monkeypatch.setattr(estimators, "_edge_similarities", counted)
-        res, tracker = impute_weighted_graph(panel, graph)
+        impute_weighted_graph(panel, graph)
         assert len(built) == blocks and sum(built) == 50
-        estimate = _WeightedRowImputer.estimate
 
-        def rebuilt(worker, values, obs, rows, targets, guesses, weights=None):
-            return estimate(worker, values, obs, rows, targets, guesses)
+        estimator = estimators.make_estimator(
+            EstimatorConfig("weighted_graph"), panel.sensor_ids, graph=graph
+        )
+        tracker = SimilarityTracker.for_graph(graph)
+        [(_, values, mask, guesses, weights)] = estimators._blocks(panel, estimator, tracker, 50)
+        rows, targets = np.nonzero(mask & (mask.sum(axis=1, keepdims=True) > 1))
+        embedded = []
+        coordinates = estimators.batched_coordinates
 
-        monkeypatch.setattr(_WeightedRowImputer, "estimate", rebuilt)
-        again, again_tracker = impute_weighted_graph(panel, graph)
-        assert np.array_equal(res.filled, again.filled, equal_nan=True)
-        assert np.array_equal(res.provenance, again.provenance)
-        for name in TRACKER_STATE:
-            assert np.array_equal(getattr(tracker, name), getattr(again_tracker, name))
+        def spy(w, *args):
+            embedded.append(w.copy())
+            return coordinates(w, *args)
+
+        monkeypatch.setattr(estimators, "batched_coordinates", spy)
+        estimator.estimate(values, mask, rows, targets, guesses, weights)
+        # Readings in (0, 1) leave every similarity positive: one batch.
+        [hidden] = embedded
+        edges = list(zip(*graph.edge_index_arrays()))
+        expected = [
+            hidden_cell_weights(panel.values[t], panel.mask[t], guesses[t], edges, s)
+            for t, s in zip(rows, targets)
+        ]
+        assert np.array_equal(hidden, np.array(expected))
 
 
 class TestSampling:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectral_imputer import estimators, spectral
+from spectral_imputer import estimators, evaluation, spectral
 from spectral_imputer.errors import ConfigError, InputError, UndefinedScoreError
 from spectral_imputer.estimators import (
     EstimatorConfig,
@@ -21,7 +21,6 @@ from spectral_imputer.evaluation import (
     apply_missingness,
     complexity_smoke,
     leave_one_out_eval,
-    rmse,
     scorable_cells,
     split_rows,
     sweep,
@@ -31,6 +30,7 @@ from spectral_imputer.graph import build_graph, propose_grid_edges
 from spectral_imputer.spectral import thread_cap
 
 from conftest import grid_layout, make_layout
+from oracles import rmse
 
 
 def _grid_setup(rows, cols, spacing=1.0):
@@ -303,7 +303,22 @@ def test_eval_routes_weighted_rows_as_impute_does(monkeypatch, shape, dense_max)
     same way, so scores agree at 1e-10 and fallback counts tag for tag."""
     monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", dense_max)
     layout, graph = _grid_setup(*shape)
-    panel = _holed_panel(layout, 12, 0.1, seed=50)
+    _check_eval_matches_impute(_holed_panel(layout, 12, 0.1, seed=50), graph)
+
+
+def test_eval_cell_chunks_score_as_impute_does(monkeypatch):
+    """Above DENSE_SOLVER_MAX evaluate estimates a row's cells a batch at a
+    time, here 2 of 6; the scores still match one impute per hidden cell."""
+    for module in (spectral, evaluation):
+        monkeypatch.setattr(module, "DENSE_SOLVER_MAX", 4)
+    layout, graph = _grid_setup(2, 3)
+    edges = len(graph.edges)
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 2 * 8 * spectral.ROW_ARRAYS * (6 + edges))
+    assert spectral.batch_rows(6, edges) == 2
+    _check_eval_matches_impute(_holed_panel(layout, 12, 0.1, seed=51), graph)
+
+
+def _check_eval_matches_impute(panel, graph):
     cfg = EstimatorConfig(method="weighted_graph")
     rep = leave_one_out_eval(panel, cfg, "complete", graph=graph)
     tags = np.zeros(len(Provenance), dtype=int)
@@ -392,6 +407,47 @@ def test_large_farm_memory_bounded_by_blocks():
     # The result's filled copy and provenance add up to about one panel.
     assert impute_peak <= 2 * holed.values.nbytes + 2 * spectral.BATCH_BYTES
     assert loo_peak <= full.values.nbytes + 12 * spectral.BATCH_BYTES
+
+
+def test_large_farm_eval_memory_bounded_by_cell_chunks():
+    """Above DENSE_SOLVER_MAX a block is at least one row, and each of its
+    scored cells brings its own edge weights; estimated `batch_rows` cells
+    at a time, one complete row of a 20x20 farm (400 cells) stays within
+    the 12 BATCH_BYTES that the 16x16 test allows."""
+    layout, graph = _grid_setup(20, 20)
+    cfg = EstimatorConfig(method="weighted_graph")
+    full = synth_panel(layout, 1, spatial_scale=1.2, temporal_persistence=0.5, seed=61)
+    run_estimator(_holed_panel(layout, 2, 0.02, seed=62), cfg, graph=graph)  # warm-up
+    tracemalloc.start()
+    try:
+        rep = leave_one_out_eval(full, cfg, "complete", graph=graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.scored_counts.sum() == 400
+    assert peak <= full.values.nbytes + 12 * spectral.BATCH_BYTES
+
+
+def test_weighted_eval_builds_similarities_once_per_block(monkeypatch):
+    """Leave-one-out walks `impute`'s blocks: one similarity build and one
+    tracker replay per block, whatever the number of hidden cells."""
+    n = 6
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 7 * 8 * n * n)
+    layout, graph = _grid_setup(2, 3)
+    panel = _holed_panel(layout, 50, 0.2, seed=63)
+    built = []
+    similarities = estimators._edge_similarities
+
+    def counted(*args):
+        built.append(args[0].shape[0])
+        return similarities(*args)
+
+    monkeypatch.setattr(estimators, "_edge_similarities", counted)
+    cfg = EstimatorConfig(method="weighted_graph")
+    rep = leave_one_out_eval(panel, cfg, "incomplete", graph=graph)
+    # Blocks of batch_rows // 2 = 3 rows.
+    assert len(built) == -(-50 // 3) and sum(built) == 50
+    assert rep.scored_counts.sum() > 4 * len(built)
 
 
 @pytest.mark.parametrize("rows, cols, t_len", [(5, 7, 1000), (14, 14, 60)])

@@ -14,7 +14,7 @@ from spectral_imputer.graph import (
 )
 
 from conftest import grid_layout, make_layout, random_connected_graph
-from oracles import laplacian
+from oracles import assignments, laplacian
 
 
 def test_layout_rejects_duplicate_ids():
@@ -92,7 +92,7 @@ def test_components_triangle_plus_isolate():
     )
     part = components(g)
     assert part.labels == (0, 0, 0, 1)
-    assert part.assignments["s03"] == 1
+    assert assignments(part)["s03"] == 1
 
 
 def test_components_drop_edges_at_or_below_floor(path3_layout):

@@ -792,6 +792,42 @@ def test_cli_impute_weighted_checkpoint_continuity(tmp_path):
     assert (second.cumulative_loss >= first.cumulative_loss).all()
 
 
+CHECKPOINT_HEADER = "from,to,y,s_hat,cumulative_loss,revealed_count,running_sum_revealed"
+
+
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        ("layout", "id,x,y,cap\na,0,0,1\n",
+         "line 1: expected header sensor_id,latitude,longitude,nominal_capacity, got id,x,y,cap"),
+        ("layout", "sensor_id,latitude,longitude,nominal_capacity\nt00,0,0,7\nt01,1,0\n",
+         "line 3: expected 4 fields, got 3"),
+        ("edges", "a,b\nt00,t01\n",
+         "line 1: expected header from,to or from,to,weight, got a,b"),
+        ("edges", "from,to\nt00,t01\nt01,t02,0.5\n", "line 3: expected 2 fields, got 3"),
+        ("checkpoint", "x,y\n1,2\n", f"line 1: expected header {CHECKPOINT_HEADER}, got x,y"),
+        ("checkpoint", f"{CHECKPOINT_HEADER}\nt00,t01,1.0\n", "line 2: expected 7 fields, got 3"),
+    ],
+)
+def test_cli_table_reader_errors_are_one_line(tmp_path, capsys, reader, text, message):
+    layout_csv = _layout_file(tmp_path)
+    edges = _graph_files(tmp_path, layout_csv)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    capsys.readouterr()
+    bad = _write(tmp_path / "bad.csv", text)
+    out = tmp_path / "run"
+    args = {
+        "layout": ["graph", "--layout", bad, "--propose", "king"],
+        "edges": ["graph", "--layout", layout_csv, "--edges", bad],
+        "checkpoint": ["impute", "--layout", layout_csv, "--edges", edges,
+                       "--panel", masked_csv, "--method", "weighted_graph",
+                       "--checkpoint-in", bad],
+    }[reader]
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad} {message}\n"
+    assert not out.exists()
+
+
 def test_cli_rollback_removes_outputs_on_late_failure(tmp_path, capsys):
     # The checkpoint's directory is missing, so the commit itself fails:
     # --out and the missing parent it was created with go again.
