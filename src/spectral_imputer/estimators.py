@@ -14,10 +14,10 @@ neighbor distances come from:
   similarities supplied by an online tracker.
 
 Every filled cell carries a provenance tag saying which path produced it.
-`make_estimator` builds the configured estimator, and `_blocks` walks the
-panel in blocks of rows, with the tracker's guesses and edge weights;
-imputation runs the estimator over every hole of each block, and
-leave-one-out evaluation over hidden cells.
+`make_estimator` builds the configured estimator, which sizes its own
+blocks of rows; `_blocks` walks the panel in them, with the tracker's
+guesses and edge weights, and runs the estimator on every hole for
+imputation and on the hidden cells for leave-one-out evaluation.
 """
 
 from __future__ import annotations
@@ -35,25 +35,16 @@ from .kernels import KERNEL_NAMES, KERNEL_SUM_FLOOR, WeightVector
 from .kernels import kernel_weight_rows, kernel_weight_table
 from .online import ETA_ERROR, ETA_MAX, SimilarityTracker
 from .spectral import (
-    DENSE_SOLVER_MAX,
     batch_rows,
     batched_coordinates,
     component_coordinates,
+    graph_block_rows,
     target_distances,
 )
 
 METHODS = ("naive", "location", "unweighted_graph", "weighted_graph")
 
 DEFAULT_WEIGHT_FLOOR = 1e-12
-
-# Weighted `impute` blocks on the dense route hold this many engine
-# batches of `batch_rows` rows, so each engine call has several chunks for
-# its workers.  In-process weighted impute at 5% MCAR, 2 workers on a
-# 2-core x86 box, median s over interleaved rounds at multiples 1, 2, 4,
-# 8, 16: 5x7 king, 2000 rows, 0.280 0.248 0.228 0.224 0.221; 14x14 king,
-# 500 rows, 1.489 1.083 0.973 0.946 0.935.  Past 4 the gain is under 4%,
-# while a block's per-row arrays keep growing.
-_DENSE_BLOCK_BATCHES = 4
 
 
 def timestamp_keys(timestamps):
@@ -214,19 +205,19 @@ class EstimatorConfig:
             raise ConfigError("weight floor must be >= 0")
 
 
-def static_embedding_distances(graph: FarmGraph, r: int) -> np.ndarray:
-    """Pairwise distances in the fixed graph's embedding.
-
-    Raises:
-        ConfigError: if the graph is not connected; a fixed-graph
-            estimator has no distance between separate components.
-    """
+def _check_connected(graph: FarmGraph):
+    """ConfigError unless connected: separate components have no distance."""
     part = components(graph)
     if part.count != 1:
         raise ConfigError(
             "the sensor graph must be connected for fixed-graph embedding "
             f"distances; found {part.count} components"
         )
+
+
+def static_embedding_distances(graph: FarmGraph, r: int) -> np.ndarray:
+    """Pairwise distances in the fixed graph's embedding; ConfigError if not connected."""
+    _check_connected(graph)
     if graph.n < 3:
         # Too small to embed; zero distances make every neighbor equal,
         # which the kernel stage resolves with uniform weights.
@@ -263,11 +254,12 @@ def _kernel_fill(kind: str, dist, values, obs):
     return (weights * values).sum(axis=1), codes
 
 
-# Every estimator answers `estimate(values, obs, rows, targets, guesses,
+# Every estimator holds `block_rows`, the rows per block `_blocks` walks
+# it over, and answers `estimate(values, obs, rows, targets, guesses,
 # weights)`: values and obs are (B, N) row arrays, values finite and
 # ignored where obs is False; cell c is sensor targets[c] of row rows[c];
 # for weighted_graph, guesses are the (B, E) tracker guesses and weights
-# the block's edge weights, as `_blocks` yields them.  It returns (C,)
+# the block's edge weights, as `_blocks` builds them.  It returns (C,)
 # estimates and provenance codes.  A cell's row observes another sensor,
 # and its own is never its neighbor: one more hole in leave-one-out, none
 # in `impute`.
@@ -275,6 +267,9 @@ def _kernel_fill(kind: str, dist, values, obs):
 
 class _MeanEstimator:
     """naive: the plain mean of the row's other observed sensors."""
+
+    def __init__(self, n: int):
+        self.block_rows = batch_rows(n)
 
     def estimate(self, values, obs, rows, targets, guesses=None, weights=None):
         own = obs[rows, targets]
@@ -294,6 +289,7 @@ class _FixedDistanceEstimator:
     def __init__(self, kind: str, dist: np.ndarray):
         self.kind = kind
         self.dist = dist
+        self.block_rows = batch_rows(len(dist))
         self.weights, self.far_sets = kernel_weight_table(kind, dist)
 
     def estimate(self, values, obs, rows, targets, guesses=None, weights=None):
@@ -325,19 +321,22 @@ class _WeightedRowImputer:
 
     Holds everything that is constant across rows: topology, kernel,
     dimension, weight floor, and the static-graph distances used when a
-    sensor ends up outside any embeddable component.  `estimate` embeds
-    the rows whose graph is whole in one `batched_coordinates` call, and
-    sends the rest to `impute_row`, which handles one row whatever its
-    graph.
+    sensor ends up outside any embeddable component, built on first use.
+    `estimate` embeds the rows whose graph is whole in one
+    `batched_coordinates` call, and sends the rest to `impute_row`, which
+    handles one row whatever its graph.
     """
 
     def __init__(self, graph: FarmGraph, kind: str, r: int, weight_floor: float):
+        _check_connected(graph)
+        self.graph = graph
         self.n = graph.n
         self.ei, self.ej = graph.edge_index_arrays()
+        self.block_rows = graph_block_rows(self.n, self.ei.size)
         self.kind = kind
         self.r = r
         self.weight_floor = weight_floor
-        self.static_dist = static_embedding_distances(graph, r)
+        self.static_dist = None
 
     def batchable(self, obs, edge_weights) -> np.ndarray:
         """(B,) bool: rows embedded together, the rest by `impute_row`.
@@ -355,8 +354,15 @@ class _WeightedRowImputer:
 
     def estimate(self, values, obs, rows, targets, guesses, weights):
         """Batchable rows share one embedding call, the rest take `impute_row`."""
-        # Hiding a sensor puts the guesses on its edges: each cell gets its own row.
+        # Hiding a sensor puts the guesses on its edges: each cell gets its
+        # own copy of its row, made `block_rows` cells at a time.
         if obs[rows, targets].any():
+            step = self.block_rows
+            if rows.size > step:
+                bounds = range(step, rows.size, step)
+                cells = zip(np.split(rows, bounds), np.split(targets, bounds))
+                parts = [self.estimate(values, obs, *cell, guesses, weights) for cell in cells]
+                return tuple(map(np.concatenate, zip(*parts)))
             touched = (self.ei == targets[:, None]) | (self.ej == targets[:, None])
             weights = np.where(touched, guesses[rows], weights[rows])
             values, obs = values[rows], obs[rows]
@@ -424,6 +430,8 @@ class _WeightedRowImputer:
             else:
                 # Isolated sensors and components with nothing observed:
                 # fall back to the fixed graph over whatever is observed.
+                if self.static_dist is None:
+                    self.static_dist = static_embedding_distances(self.graph, self.r)
                 d = self.static_dist[np.ix_(miss, observed)]
                 estimates[miss], _ = _kernel_fill(
                     self.kind, d, np.broadcast_to(vals[observed], d.shape), np.ones(d.shape, bool)
@@ -446,7 +454,7 @@ def make_estimator(
         InputError: when the sensors do not match the layout or graph.
     """
     if config.method == "naive":
-        return _MeanEstimator()
+        return _MeanEstimator(len(sensor_ids))
     if config.method == "location":
         if layout is None:
             raise ConfigError("method 'location' needs a farm layout")
@@ -462,16 +470,20 @@ def make_estimator(
     return _WeightedRowImputer(graph, config.kernel, config.r, config.weight_floor)
 
 
-def _blocks(panel: Panel, estimator, tracker: SimilarityTracker | None, step: int):
-    """Yield (start, values, mask, guesses, weights) per block of `step` rows.
+def _blocks(panel: Panel, estimator, tracker: SimilarityTracker | None, cells):
+    """Yield (start, values, mask, rows, targets, estimates, codes) per block.
 
-    values are the block's readings, 0 where unobserved.  With a tracker
-    (weighted_graph), it is replayed over the block's revealed similarities
-    only, so a value never feeds its own weights: guesses are what it played
-    before each row, and weights the revealed similarities with the guesses
-    on the other edges.  Without one, both are None.
+    Blocks hold the estimator's `block_rows` rows, which bounds every
+    per-block array; values are their readings, 0 where unobserved.
+    `cells(start, mask)` picks a block's cells as (rows, targets) for the
+    estimator; blocks with none are not yielded.  A tracker (weighted_graph)
+    is replayed over every block's revealed similarities only, so a value
+    never feeds its own weights: the estimator gets the guesses played
+    before each row, and as edge weights the revealed similarities with the
+    guesses on the other edges.
     """
     guesses = weights = None
+    step = estimator.block_rows
     for start in range(0, panel.t_len, step):
         mask = panel.mask[start : start + step]
         values = np.where(mask, panel.values[start : start + step], 0.0)
@@ -479,33 +491,10 @@ def _blocks(panel: Panel, estimator, tracker: SimilarityTracker | None, step: in
             weights = _edge_similarities(values, mask, estimator.ei, estimator.ej)
             guesses, _ = tracker.replay(weights)
             np.copyto(weights, guesses, where=np.isnan(weights))
-        yield start, values, mask, guesses, weights
-
-
-def _impute(panel: Panel, estimator, tracker: SimilarityTracker | None):
-    """Run `estimator` over every hole of the panel, in `_blocks` of rows.
-
-    A row with nothing observed has no neighbor to draw on, so its cells
-    stay NaN, tagged unimputable, whatever the method.  Each row is
-    estimated with the guesses the tracker played before it.  Blocks hold
-    `batch_rows` rows, which bounds the memory of every per-block array;
-    weighted blocks on the dense route hold _DENSE_BLOCK_BATCHES times as
-    many, as the engine cuts its (B, n, n) stacks to `batch_rows` graphs
-    itself, so each engine call has several chunks for its workers.
-    """
-    filled = panel.values.copy()
-    provenance = np.where(
-        panel.mask, int(Provenance.OBSERVED), int(Provenance.UNIMPUTABLE)
-    ).astype(np.int8)
-    step = batch_rows(panel.n_sensors, 0 if tracker is None else tracker.edge_count)
-    if tracker is not None and panel.n_sensors <= DENSE_SOLVER_MAX:
-        step *= _DENSE_BLOCK_BATCHES
-    for start, values, mask, guesses, weights in _blocks(panel, estimator, tracker, step):
-        rows, targets = np.nonzero(~mask & mask.any(axis=1, keepdims=True))
-        estimates, codes = estimator.estimate(values, mask, rows, targets, guesses, weights)
-        filled[start + rows, targets] = estimates
-        provenance[start + rows, targets] = codes
-    return ImputationResult(panel.sensor_ids, panel.timestamps, filled, provenance)
+        rows, targets = cells(start, mask)
+        if rows.size:
+            estimates, codes = estimator.estimate(values, mask, rows, targets, guesses, weights)
+            yield start, values, mask, rows, targets, estimates, codes
 
 
 def run_estimator(
@@ -516,6 +505,11 @@ def run_estimator(
     tracker: SimilarityTracker | None = None,
 ) -> ImputationResult:
     """Fill every hole of the panel with the configured estimator.
+
+    The estimator runs over the holes of each of `_blocks`.  A row with
+    nothing observed has no neighbor to draw on, so its cells stay NaN,
+    tagged unimputable, whatever the method.  Each row is estimated with
+    the guesses the tracker played before it.
 
     Args:
         tracker: weighted_graph only: the state to continue from, updated
@@ -534,7 +528,18 @@ def run_estimator(
         tracker = SimilarityTracker.for_graph(graph, eta=config.learning_rate)
     elif tracker.edge_ids != graph.edge_ids:
         raise InputError("tracker edges do not match the graph")
-    return _impute(panel, estimator, tracker)
+    filled = panel.values.copy()
+    provenance = np.where(
+        panel.mask, int(Provenance.OBSERVED), int(Provenance.UNIMPUTABLE)
+    ).astype(np.int8)
+
+    def holes(start, mask):
+        return np.nonzero(~mask & mask.any(axis=1, keepdims=True))
+
+    for start, _, _, rows, targets, estimates, codes in _blocks(panel, estimator, tracker, holes):
+        filled[start + rows, targets] = estimates
+        provenance[start + rows, targets] = codes
+    return ImputationResult(panel.sensor_ids, panel.timestamps, filled, provenance)
 
 
 def impute_naive(panel: Panel) -> ImputationResult:

@@ -5,10 +5,11 @@ estimator on the modified row, and scores the estimate against the hidden
 truth.  For the time-varying graph method the per-row similarity guesses
 depend only on the rows before it, which the hide does not touch, so every
 (row, sensor) score can be computed independently.  So evaluation walks
-`impute`'s `_blocks`, with the same guesses and edge weights, and calls the
-impute estimator on each block's scored cells; hiding a sensor puts the
-guesses on its edges, and the estimators never count a cell's own sensor
-among its neighbors.
+`impute`'s `_blocks`, with the same block size, guesses and edge weights,
+and has the impute estimator estimate each block's scored cells; hiding a
+sensor puts the guesses on its edges, and the estimators never count a
+cell's own sensor among its neighbors.  Evaluation keeps only the
+baseline and the scoring.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import numpy as np
 
 from .errors import ConfigError, InputError, UndefinedScoreError
 from .estimators import EstimatorConfig, Panel, Provenance, _blocks, make_estimator
-from .graph import FarmGraph, FarmLayout, build_graph, propose_grid_edges
-from .graph import pairwise_distances
+from .graph import FarmGraph, FarmLayout, Sensor, build_graph, pairwise_distances
+from .graph import propose_grid_edges
 from .online import SimilarityTracker
-from .spectral import DENSE_SOLVER_MAX, batch_rows, single_blas_thread
+from .spectral import single_blas_thread
 
 SETUPS = ("complete", "incomplete")
 # `sweep` ranks mean improvements rounded to this many decimals: methods
@@ -207,31 +208,17 @@ def leave_one_out_eval(
     counts = np.zeros(n, dtype=int)
     squares = np.zeros((2, n))
     tags = np.zeros(len(Provenance), dtype=int)
-    # `impute`'s blocks, walked with their own step, keep memory flat in the
-    # panel's length.  weighted_graph copies every scored cell's row.  On
-    # the dense route the blocks hold half of `batch_rows` (an eighth of
-    # weighted `impute`'s blocks): at a full batch glibc would unmap and
-    # refault those copies every block.  Beyond it, where `impute`'s blocks
-    # are sized by per-row arrays, a row's scored cells bring up to n
-    # copies of it, so the blocks hold 1/n of `impute`'s rows, and the
-    # cells of a block are estimated `batch_rows` at a time.
-    edges = 0 if tracker is None else tracker.edge_count
-    step = max(1, batch_rows(n, edges) // (2 if n <= DENSE_SOLVER_MAX else n))
-    for start, values, mask, guesses, weights in _blocks(panel, estimator, tracker, step):
-        rows_within = None if within is None else within[start : start + step]
-        targets, rows = np.nonzero(scorable_cells(mask, setup, rows_within).T)
-        if rows.size == 0:
-            continue
-        baseline, _ = baseline_estimator.estimate(values, mask, rows, targets)
-        estimates = baseline
+
+    def scored(start, mask):
+        rows_within = None if within is None else within[start : start + len(mask)]
+        return np.nonzero(scorable_cells(mask, setup, rows_within))
+
+    blocks = _blocks(panel, estimator, tracker, scored)
+    for _, values, mask, rows, targets, estimates, codes in blocks:
+        baseline = estimates
         # The plain mean weights nothing, so naive reports no fallback counts.
         if config.method != "naive":
-            chunk = batch_rows(n, edges) if n > DENSE_SOLVER_MAX else rows.size
-            parts = [
-                estimator.estimate(values, mask, rows[c], targets[c], guesses, weights)
-                for c in np.split(np.arange(rows.size), range(chunk, rows.size, chunk))
-            ]
-            estimates, codes = map(np.concatenate, zip(*parts))
+            baseline, _ = baseline_estimator.estimate(values, mask, rows, targets)
             tags += np.bincount(codes, minlength=len(Provenance))
         counts += np.bincount(targets, minlength=n)
         for k, guess in enumerate((estimates, baseline)):
@@ -455,13 +442,9 @@ class TimingReport:
 
 def _timing_layout(n: int) -> FarmLayout:
     side = int(np.ceil(np.sqrt(n)))
-    coords = [(i % side, i // side) for i in range(n)]
-    sensors = [
-        (f"t{k:02d}", float(x), float(y), 1.0) for k, (x, y) in enumerate(coords)
-    ]
-    from .graph import Sensor
-
-    return FarmLayout(tuple(Sensor(*s) for s in sensors))
+    return FarmLayout(
+        tuple(Sensor(f"t{k:02d}", float(k % side), float(k // side), 1.0) for k in range(n))
+    )
 
 
 def complexity_smoke(

@@ -255,10 +255,6 @@ def propose_grid_edges(
     pairwise = dist[iu]
     if np.min(pairwise) <= 0:
         raise InputError("two sensors share a position; cannot infer spacing")
-    cutoff = factors[mode] * float(np.min(pairwise))
+    near = pairwise <= factors[mode] * float(np.min(pairwise))
     ids = layout.ids
-    return [
-        (ids[i], ids[j])
-        for i, j in zip(*iu)
-        if dist[i, j] <= cutoff
-    ]
+    return [(ids[i], ids[j]) for i, j in zip(iu[0][near], iu[1][near])]

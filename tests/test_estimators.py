@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from spectral_imputer.estimators import (
     run_estimator,
     static_embedding_distances,
 )
-from spectral_imputer.graph import build_graph
+from spectral_imputer.graph import build_graph, propose_grid_edges
 from spectral_imputer.kernels import WeightVector
 from spectral_imputer.online import SimilarityTracker
 
-from conftest import chain_graph, make_layout, random_connected_graph
+from conftest import chain_graph, grid_layout, make_layout, random_connected_graph
 from oracles import hidden_cell_weights, oracle_impute_cell
 
 
@@ -188,6 +189,9 @@ class TestUnweightedGraph:
             run_estimator(p, EstimatorConfig("unweighted_graph"), graph=graph)
         with pytest.raises(ConfigError):
             static_embedding_distances(graph, 1)
+        # The weighted estimator checks at construction, before any fallback.
+        with pytest.raises(ConfigError):
+            estimators.make_estimator(EstimatorConfig("weighted_graph"), layout.ids, graph=graph)
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(44)
@@ -276,6 +280,33 @@ class TestWeightedGraph:
         assert tracker.edge_ids[0] == ("s00", "s01") and tracker.guesses[0] == 0.0
         assert res.filled[1, 0] == pytest.approx(0.4, abs=1e-12)
         assert res.provenance[1, 0] == int(Provenance.STATIC_GRAPH_FALLBACK)
+
+    def test_static_distances_built_on_first_fallback(self):
+        # Construction checks connectivity but leaves the (n, n) static
+        # distances, 8 MiB on a 32x32 king grid and 40 MiB peak to build,
+        # to the first fallback cell, whose outputs match an eager build.
+        layout = grid_layout(32, 32)
+        graph = build_graph(layout, propose_grid_edges(layout, "king"))
+        config = EstimatorConfig("weighted_graph")
+        tracemalloc.start()
+        try:
+            lazy = estimators.make_estimator(config, layout.ids, graph=graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= spectral.BATCH_BYTES and lazy.static_dist is None
+        eager = estimators.make_estimator(config, layout.ids, graph=graph)
+        eager.static_dist = static_embedding_distances(graph, config.r)
+        # Sensor 0 is hidden and all its edges drop out: it sits alone.
+        values = np.random.default_rng(68).random(graph.n)
+        obs = np.arange(graph.n) > 0
+        weights = np.where((lazy.ei == 0) | (lazy.ej == 0), 0.0, 0.5)
+        estimates, codes = lazy.impute_row(values, obs, weights)
+        assert codes[0] == int(Provenance.STATIC_GRAPH_FALLBACK)
+        assert np.array_equal(lazy.static_dist, eager.static_dist)
+        expected = eager.impute_row(values, obs, weights)
+        assert np.array_equal(estimates, expected[0], equal_nan=True)
+        assert np.array_equal(codes, expected[1])
 
     def test_fully_missing_row_unimputable(self, line3):
         layout, graph = line3
@@ -481,7 +512,7 @@ class TestWeightedEngineAgreement:
         # copied row with the hidden sensor unobserved.
         n = 6
         monkeypatch.setattr(spectral, "BATCH_BYTES", 7 * 8 * n * n)
-        blocks = -(-50 // (7 * estimators._DENSE_BLOCK_BATCHES))
+        blocks = -(-50 // (7 * spectral.DENSE_BLOCK_BATCHES))
         rng = np.random.default_rng(67)
         layout = make_layout(rng.random((n, 2)) * 2)
         graph = random_connected_graph(rng, layout, extra_edges=3)
@@ -500,9 +531,7 @@ class TestWeightedEngineAgreement:
         estimator = estimators.make_estimator(
             EstimatorConfig("weighted_graph"), panel.sensor_ids, graph=graph
         )
-        tracker = SimilarityTracker.for_graph(graph)
-        [(_, values, mask, guesses, weights)] = estimators._blocks(panel, estimator, tracker, 50)
-        rows, targets = np.nonzero(mask & (mask.sum(axis=1, keepdims=True) > 1))
+        assert estimator.block_rows == 7 * spectral.DENSE_BLOCK_BATCHES
         embedded = []
         coordinates = estimators.batched_coordinates
 
@@ -510,16 +539,25 @@ class TestWeightedEngineAgreement:
             embedded.append(w.copy())
             return coordinates(w, *args)
 
+        def observed(start, mask):
+            return np.nonzero(mask & (mask.sum(axis=1, keepdims=True) > 1))
+
         monkeypatch.setattr(estimators, "batched_coordinates", spy)
-        estimator.estimate(values, mask, rows, targets, guesses, weights)
-        # Readings in (0, 1) leave every similarity positive: one batch.
-        [hidden] = embedded
+        walk = estimators._blocks(panel, estimator, SimilarityTracker.for_graph(graph), observed)
+        cells = [(start + rows, targets) for start, _, _, rows, targets, _, _ in walk]
+        rows, targets = map(np.concatenate, zip(*cells))
+        # Readings in (0, 1) leave every similarity positive: every hidden
+        # cell is embedded in a batch, `block_rows` cells at most.
+        assert max(map(len, embedded)) == estimator.block_rows
+        guesses, _ = SimilarityTracker.for_graph(graph).replay(
+            revealed_similarity_rows(panel, graph)
+        )
         edges = list(zip(*graph.edge_index_arrays()))
         expected = [
             hidden_cell_weights(panel.values[t], panel.mask[t], guesses[t], edges, s)
             for t, s in zip(rows, targets)
         ]
-        assert np.array_equal(hidden, np.array(expected))
+        assert np.array_equal(np.concatenate(embedded), np.array(expected))
 
 
 class TestSampling:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spectral_imputer import estimators, evaluation, spectral
+from spectral_imputer import estimators, spectral
 from spectral_imputer.errors import ConfigError, InputError, UndefinedScoreError
 from spectral_imputer.estimators import (
     EstimatorConfig,
@@ -307,10 +307,10 @@ def test_eval_routes_weighted_rows_as_impute_does(monkeypatch, shape, dense_max)
 
 
 def test_eval_cell_chunks_score_as_impute_does(monkeypatch):
-    """Above DENSE_SOLVER_MAX evaluate estimates a row's cells a batch at a
-    time, here 2 of 6; the scores still match one impute per hidden cell."""
-    for module in (spectral, evaluation):
-        monkeypatch.setattr(module, "DENSE_SOLVER_MAX", 4)
+    """Above DENSE_SOLVER_MAX weighted blocks hold `batch_rows` rows, here
+    2, and the up to 12 scored cells of a block are estimated 2 at a time;
+    the scores still match one impute per hidden cell."""
+    monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", 4)
     layout, graph = _grid_setup(2, 3)
     edges = len(graph.edges)
     monkeypatch.setattr(spectral, "BATCH_BYTES", 2 * 8 * spectral.ROW_ARRAYS * (6 + edges))
@@ -445,8 +445,8 @@ def test_weighted_eval_builds_similarities_once_per_block(monkeypatch):
     monkeypatch.setattr(estimators, "_edge_similarities", counted)
     cfg = EstimatorConfig(method="weighted_graph")
     rep = leave_one_out_eval(panel, cfg, "incomplete", graph=graph)
-    # Blocks of batch_rows // 2 = 3 rows.
-    assert len(built) == -(-50 // 3) and sum(built) == 50
+    # Weighted impute's blocks: DENSE_BLOCK_BATCHES * batch_rows = 28 rows.
+    assert len(built) == -(-50 // 28) and sum(built) == 50
     assert rep.scored_counts.sum() > 4 * len(built)
 
 
@@ -468,6 +468,32 @@ def test_dense_farm_weighted_impute_memory_bounded_by_blocks(monkeypatch, rows, 
     finally:
         tracemalloc.stop()
     assert peak <= 2 * holed.values.nbytes + 6 * spectral.BATCH_BYTES
+
+
+@pytest.mark.parametrize("rows, cols, t_len, scored", [(5, 7, 1000, 1000), (14, 14, 24, 12)])
+def test_dense_farm_weighted_eval_memory_bounded_by_blocks(monkeypatch, rows, cols, t_len, scored):
+    """Up to DENSE_SOLVER_MAX leave-one-out walks weighted impute's blocks
+    and copies the row of each hidden cell, `block_rows` cells at a time,
+    so it stays within the 6 BATCH_BYTES that weighted impute meets
+    (measured: 5.9 on 5x7 and 3.9 on 14x14; blocks of 53 and 1 rows that
+    sent all their cells to the engine in one call took 7.2 and 6.7).
+    On 14x14 the first block, 12 rows, is scored."""
+    monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "2")
+    layout, graph = _grid_setup(rows, cols)
+    cfg = EstimatorConfig(method="weighted_graph")
+    panel = _holed_panel(layout, t_len, 0.05, seed=60)
+    assert scored >= spectral.graph_block_rows(rows * cols, len(graph.edges))
+    run_estimator(_holed_panel(layout, 5, 0.02, seed=62), cfg, graph=graph)  # warm-up
+    tracemalloc.start()
+    try:
+        rep = leave_one_out_eval(
+            panel, cfg, "incomplete", graph=graph, within=np.arange(t_len) < scored
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.scored_counts.sum() > 0.9 * rows * cols * scored
+    assert peak <= panel.values.nbytes + 6 * spectral.BATCH_BYTES
 
 
 def test_eval_unscored_sensor_reports_nan_and_is_excluded():
@@ -641,9 +667,11 @@ def test_eval_within_restricts_scored_rows():
 def test_eval_within_still_tracks_every_row(monkeypatch):
     """Rows outside `within` are not scored, but the tracker learns from
     them: scores match one streaming impute per hidden cell.  Blocks of
-    10 rows put whole blocks outside `within`."""
-    monkeypatch.setattr(spectral, "BATCH_BYTES", 8 * 6 * 6 * 10)
+    8 rows (DENSE_BLOCK_BATCHES batches of 2) put whole blocks outside
+    `within`."""
+    monkeypatch.setattr(spectral, "BATCH_BYTES", 8 * 6 * 6 * 2)
     layout, graph = _grid_setup(2, 3)
+    assert spectral.graph_block_rows(6, len(graph.edges)) == 8
     panel = _holed_panel(layout, 40, 0.1, seed=91)
     within = split_rows(panel.t_len, "second")
     cfg = EstimatorConfig(method="weighted_graph")

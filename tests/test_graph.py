@@ -123,6 +123,30 @@ def test_propose_grid_edges_rook_and_king():
     assert set(rook) <= set(king)
 
 
+@pytest.mark.parametrize("mode, factor, spacing", [("king", 1.5, 2.0), ("rook", 1.2, 5.0)])
+def test_propose_grid_edges_matches_pair_loop(mode, factor, spacing):
+    """Random lattice layouts, each with a pair exactly at the cutoff
+    (`factor` times the spacing): the proposal is what a loop over every
+    pair in `triu_indices` order keeps."""
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        cells = rng.choice(64, size=int(rng.integers(0, 40)), replace=False)
+        lattice = np.column_stack([cells % 8, 2 + cells // 8]) * spacing
+        tie = [(0.0, 0.0), (spacing, 0.0), (spacing + factor * spacing, 0.0)]
+        layout = make_layout(rng.permutation(np.vstack([tie, lattice])))
+        dist = pairwise_distances(layout.positions())
+        n = layout.n
+        cutoff = factor * min(dist[i, j] for i in range(n) for j in range(i + 1, n))
+        assert (dist == cutoff).any()
+        expected = [
+            (layout.ids[i], layout.ids[j])
+            for i in range(n)
+            for j in range(i + 1, n)
+            if dist[i, j] <= cutoff
+        ]
+        assert propose_grid_edges(layout, mode) == expected
+
+
 def test_pairwise_distances_rescale_only_overflowing_pairs():
     points = np.random.default_rng(3).normal(size=(9, 2)) * 1e3
     diff = points[:, None, :] - points[None, :, :]

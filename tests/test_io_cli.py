@@ -1048,11 +1048,11 @@ def test_cli_large_farm_impute_does_not_depend_on_block_rows(tmp_path, monkeypat
     edges = _graph_files(tmp_path, layout_csv)
     masked_csv, _ = _simulate(tmp_path, layout_csv)
     edge_count = len(Path(edges).read_text().splitlines()) - 1
-    assert spectral.batch_rows(256, edge_count) >= 8
+    assert spectral.graph_block_rows(256, edge_count) >= 8
     outputs = []
     for label in ("sized", "two-row"):
         if label == "two-row":
-            monkeypatch.setattr(estimators, "batch_rows", lambda n, edges=0: 2)
+            monkeypatch.setattr(spectral, "batch_rows", lambda n, edges=0: 2)
         out = tmp_path / label
         rc = main(
             ["impute", "--method", "weighted_graph", "--layout", layout_csv,
@@ -1065,18 +1065,20 @@ def test_cli_large_farm_impute_does_not_depend_on_block_rows(tmp_path, monkeypat
 
 def test_cli_dense_farm_weighted_impute_does_not_depend_on_block_rows(tmp_path, monkeypatch):
     # Up to DENSE_SOLVER_MAX weighted blocks hold several engine batches:
-    # all 80 rows in one block as sized, 28-row blocks (four batches of a
-    # patched 7-row `batch_rows`) and 2-row blocks write the same bytes.
+    # all 80 rows in one block as sized, 28-row blocks (four engine
+    # batches of a patched 7-row `batch_rows`) and 2-row blocks of 2-graph
+    # batches write the same bytes.
     layout_csv = _layout_file(tmp_path, rows=5, cols=7)
     edges = _graph_files(tmp_path, layout_csv)
     masked_csv, _ = _simulate(tmp_path, layout_csv)
-    assert estimators._DENSE_BLOCK_BATCHES * spectral.batch_rows(35) >= 80
+    edge_count = len(Path(edges).read_text().splitlines()) - 1
+    assert spectral.graph_block_rows(35, edge_count) >= 80
     outputs = []
     for label, rows, batches in (("sized", None, None), ("four", 7, None), ("two-row", 2, 1)):
         if rows is not None:
-            monkeypatch.setattr(estimators, "batch_rows", lambda n, edges=0, rows=rows: rows)
+            monkeypatch.setattr(spectral, "batch_rows", lambda n, edges=0, rows=rows: rows)
         if batches is not None:
-            monkeypatch.setattr(estimators, "_DENSE_BLOCK_BATCHES", batches)
+            monkeypatch.setattr(spectral, "DENSE_BLOCK_BATCHES", batches)
         out = tmp_path / label
         rc = main(
             ["impute", "--method", "weighted_graph", "--layout", layout_csv,
