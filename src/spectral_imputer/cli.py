@@ -107,10 +107,16 @@ def _out_path(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _load_graph(layout, args, required: bool):
+def _graph_method(methods):
+    """The first of `methods` that needs a sensor graph, or None."""
+    return next((m for m in methods if m in ("unweighted_graph", "weighted_graph")), None)
+
+
+def _load_graph(layout, args, method: str | None):
+    """The graph `--edges` names; without it, None, or ConfigError if `method` needs it."""
     if args.edges is None:
-        if required:
-            raise ConfigError(f"method {args.method!r} needs --edges")
+        if method is not None:
+            raise ConfigError(f"method {method!r} needs --edges")
         return None
     pairs, weights = read_edge_list(args.edges)
     graph = build_graph(layout, pairs)
@@ -133,7 +139,7 @@ def _cmd_graph(args):
     layout = read_layout(args.layout)
     if args.edges is not None and args.propose is not None:
         raise ConfigError("give --edges or --propose, not both")
-    graph = _load_graph(layout, args, required=False)
+    graph = _load_graph(layout, args, None)
     if graph is None:
         graph = build_graph(layout, propose_grid_edges(layout, args.propose or "king"))
     partition = components(graph, weight_floor=args.weight_floor)
@@ -148,7 +154,7 @@ def _cmd_graph(args):
 
 def _cmd_embed(args):
     layout = read_layout(args.layout)
-    graph = _load_graph(layout, args, required=True)
+    graph = _load_graph(layout, args, None)
     partition = components(graph)
     embeddings = embed(graph, partition, args.dim)
     embedded = sum(len(e.coordinates) for e in embeddings)
@@ -172,8 +178,7 @@ def _estimator_config(args) -> EstimatorConfig:
 def _cmd_impute(args):
     config = _estimator_config(args)
     layout = read_layout(args.layout)
-    needs_graph = args.method in ("unweighted_graph", "weighted_graph")
-    graph = _load_graph(layout, args, required=needs_graph)
+    graph = _load_graph(layout, args, _graph_method([args.method]))
     if args.method != "weighted_graph" and (
         args.checkpoint_in or args.checkpoint_out
     ):
@@ -201,8 +206,7 @@ def _within(args, t_len: int):
 def _cmd_evaluate(args):
     config = _estimator_config(args)
     layout = read_layout(args.layout)
-    needs_graph = args.method in ("unweighted_graph", "weighted_graph")
-    graph = _load_graph(layout, args, required=needs_graph)
+    graph = _load_graph(layout, args, _graph_method([args.method]))
     panel, clamped = load_panel(args.panel, layout)
     report = leave_one_out_eval(
         panel, config, args.setup, layout=layout, graph=graph,
@@ -241,8 +245,7 @@ def _cmd_sweep(args):
         raise ConfigError(f"unparsable --dims {args.dims!r}") from None
     if not dims:
         raise ConfigError("empty --dims list")
-    needs_graph = any(m in ("unweighted_graph", "weighted_graph") for m in methods)
-    graph = _load_graph(layout, args, required=needs_graph)
+    graph = _load_graph(layout, args, _graph_method(methods))
     panel, clamped = load_panel(args.panel, layout)
 
     configs = []
@@ -311,7 +314,7 @@ def _cmd_simulate(args):
 
 def _cmd_regret(args):
     layout = read_layout(args.layout)
-    graph = _load_graph(layout, args, required=True)
+    graph = _load_graph(layout, args, None)
     panel, clamped = load_panel(args.panel, layout)
     tracker = _tracker(graph, args)
     curve = regret_curve(revealed_similarity_rows(panel, graph), tracker=tracker)

@@ -35,9 +35,5 @@ class NoNeighborsError(SpectralImputerError):
     """A weight computation was asked for an empty neighbor set."""
 
 
-class UndefinedBaselineError(SpectralImputerError):
-    """A statistic over revealed values was requested with none revealed."""
-
-
 class UndefinedScoreError(SpectralImputerError):
     """A score was requested over an empty set of scorable entries."""

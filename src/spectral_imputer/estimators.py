@@ -15,9 +15,10 @@ neighbor distances come from:
 
 Every filled cell carries a provenance tag saying which path produced it.
 `make_estimator` builds the configured estimator, which sizes its own
-blocks of rows; `_blocks` walks the panel in them, with the tracker's
-guesses and edge weights, and runs the estimator on every hole for
-imputation and on the hidden cells for leave-one-out evaluation.
+blocks of rows; weighted_graph's also owns the similarity tracker and
+replays it over each block.  `_blocks` walks the panel in those blocks
+and runs the estimator on every hole for imputation and on the hidden
+cells for leave-one-out evaluation.
 """
 
 from __future__ import annotations
@@ -255,14 +256,13 @@ def _kernel_fill(kind: str, dist, values, obs):
 
 
 # Every estimator holds `block_rows`, the rows per block `_blocks` walks
-# it over, and answers `estimate(values, obs, rows, targets, guesses,
-# weights)`: values and obs are (B, N) row arrays, values finite and
-# ignored where obs is False; cell c is sensor targets[c] of row rows[c];
-# for weighted_graph, guesses are the (B, E) tracker guesses and weights
-# the block's edge weights, as `_blocks` builds them.  It returns (C,)
-# estimates and provenance codes.  A cell's row observes another sensor,
-# and its own is never its neighbor: one more hole in leave-one-out, none
-# in `impute`.
+# it over, and answers `estimate(values, obs, rows, targets)`: values and
+# obs are (B, N) row arrays, values finite and ignored where obs is False;
+# cell c is sensor targets[c] of row rows[c].  It returns (C,) estimates
+# and provenance codes.  `_blocks` calls it on every block in order, with
+# cells or none, so weighted_graph's tracker sees every row.  A cell's
+# row observes another sensor, and its own is never its neighbor: one
+# more hole in leave-one-out, none in `impute`.
 
 
 class _MeanEstimator:
@@ -271,7 +271,7 @@ class _MeanEstimator:
     def __init__(self, n: int):
         self.block_rows = batch_rows(n)
 
-    def estimate(self, values, obs, rows, targets, guesses=None, weights=None):
+    def estimate(self, values, obs, rows, targets):
         own = obs[rows, targets]
         sums = (values * obs).sum(axis=1)[rows] - np.where(own, values[rows, targets], 0.0)
         counts = obs.sum(axis=1)[rows] - own
@@ -292,7 +292,7 @@ class _FixedDistanceEstimator:
         self.block_rows = batch_rows(len(dist))
         self.weights, self.far_sets = kernel_weight_table(kind, dist)
 
-    def estimate(self, values, obs, rows, targets, guesses=None, weights=None):
+    def estimate(self, values, obs, rows, targets):
         seen = obs.astype(float)
         total = (seen @ self.weights.T)[rows, targets]
         fast = ((seen @ self.far_sets.T)[rows, targets] > 0) & (total >= KERNEL_SUM_FLOOR)
@@ -321,14 +321,16 @@ class _WeightedRowImputer:
 
     Holds everything that is constant across rows: topology, kernel,
     dimension, weight floor, and the static-graph distances used when a
-    sensor ends up outside any embeddable component, built on first use.
-    `estimate` embeds the rows whose graph is whole in one
-    `batched_coordinates` call, and sends the rest to `impute_row`, which
-    handles one row whatever its graph.
+    sensor ends up outside any embeddable component, built on first use;
+    and the similarity tracker, which `estimate` replays over each block.
+    It embeds the rows whose graph is whole in one `batched_coordinates`
+    call, and sends the rest to `impute_row`, which handles one row
+    whatever its graph.
     """
 
-    def __init__(self, graph: FarmGraph, kind: str, r: int, weight_floor: float):
+    def __init__(self, graph: FarmGraph, kind: str, r: int, weight_floor: float, tracker):
         _check_connected(graph)
+        self.tracker = tracker
         self.graph = graph
         self.n = graph.n
         self.ei, self.ej = graph.edge_index_arrays()
@@ -352,22 +354,34 @@ class _WeightedRowImputer:
             return np.zeros(len(obs), dtype=bool)
         return obs.any(axis=1) & (edge_weights > self.weight_floor).all(axis=1)
 
-    def estimate(self, values, obs, rows, targets, guesses, weights):
+    def estimate(self, values, obs, rows, targets):
+        """Replay the tracker over the block, then estimate its cells.
+
+        The tracker sees the block's revealed similarities only, so a
+        value never feeds its own weights: a row's edge weights are its
+        revealed similarities, with the guesses played before it on the
+        other edges.  Hiding a sensor puts the guesses on its edges: each
+        cell then gets its own copy of its row, made `block_rows` cells at
+        a time.
+        """
+        weights = _edge_similarities(values, obs, self.ei, self.ej)
+        guesses, _ = self.tracker.replay(weights)
+        np.copyto(weights, guesses, where=np.isnan(weights))
+        if not obs[rows, targets].any():
+            return self._embed_cells(values, obs, rows, targets, weights)
+        bounds = range(self.block_rows, rows.size, self.block_rows)
+        parts = []
+        for at, own in zip(np.split(rows, bounds), np.split(targets, bounds)):
+            touched = (self.ei == own[:, None]) | (self.ej == own[:, None])
+            hidden = obs[at]
+            hidden[np.arange(at.size), own] = False
+            cells = np.arange(at.size)
+            hidden_weights = np.where(touched, guesses[at], weights[at])
+            parts.append(self._embed_cells(values[at], hidden, cells, own, hidden_weights))
+        return tuple(map(np.concatenate, zip(*parts)))
+
+    def _embed_cells(self, values, obs, rows, targets, weights):
         """Batchable rows share one embedding call, the rest take `impute_row`."""
-        # Hiding a sensor puts the guesses on its edges: each cell gets its
-        # own copy of its row, made `block_rows` cells at a time.
-        if obs[rows, targets].any():
-            step = self.block_rows
-            if rows.size > step:
-                bounds = range(step, rows.size, step)
-                cells = zip(np.split(rows, bounds), np.split(targets, bounds))
-                parts = [self.estimate(values, obs, *cell, guesses, weights) for cell in cells]
-                return tuple(map(np.concatenate, zip(*parts)))
-            touched = (self.ei == targets[:, None]) | (self.ej == targets[:, None])
-            weights = np.where(touched, guesses[rows], weights[rows])
-            values, obs = values[rows], obs[rows]
-            obs[np.arange(rows.size), targets] = False
-            rows = np.arange(rows.size)
         fast = self.batchable(obs, weights)[rows]
         estimates = np.empty(rows.size)
         codes = np.empty(rows.size, dtype=np.int8)
@@ -445,13 +459,20 @@ def make_estimator(
     sensor_ids,
     layout: FarmLayout | None = None,
     graph: FarmGraph | None = None,
+    tracker: SimilarityTracker | None = None,
 ):
     """The estimator `config` names, for a panel with these sensors.
+
+    Args:
+        tracker: weighted_graph only: the state to continue from, updated
+            in place as blocks are estimated; a fresh one (rate
+            `config.learning_rate`) when omitted.
 
     Raises:
         ConfigError: when the method needs a layout or graph not given,
             or a graph method's graph is not connected.
-        InputError: when the sensors do not match the layout or graph.
+        InputError: when the sensors do not match the layout or graph,
+            or the tracker's edges do not match the graph.
     """
     if config.method == "naive":
         return _MeanEstimator(len(sensor_ids))
@@ -467,34 +488,32 @@ def make_estimator(
     if config.method == "unweighted_graph":
         dist = static_embedding_distances(graph, config.r)
         return _FixedDistanceEstimator(config.kernel, dist)
-    return _WeightedRowImputer(graph, config.kernel, config.r, config.weight_floor)
+    if tracker is None:
+        tracker = SimilarityTracker.for_graph(graph, eta=config.learning_rate)
+    elif tracker.edge_ids != graph.edge_ids:
+        raise InputError("tracker edges do not match the graph")
+    return _WeightedRowImputer(graph, config.kernel, config.r, config.weight_floor, tracker)
 
 
-def _blocks(panel: Panel, estimator, tracker: SimilarityTracker | None, cells):
+def _blocks(panel: Panel, estimator, cells):
     """Yield (start, values, mask, rows, targets, estimates, codes) per block.
 
     Blocks hold the estimator's `block_rows` rows, which bounds every
     per-block array; values are their readings, 0 where unobserved.
-    `cells(start, mask)` picks a block's cells as (rows, targets) for the
-    estimator; blocks with none are not yielded.  A tracker (weighted_graph)
-    is replayed over every block's revealed similarities only, so a value
-    never feeds its own weights: the estimator gets the guesses played
-    before each row, and as edge weights the revealed similarities with the
-    guesses on the other edges.
+    `cells(start, mask)` picks a block's cells as (rows, targets).  Every
+    block goes to the estimator in order, with cells or none, so a
+    weighted estimator's tracker sees every row; only blocks with cells
+    are yielded.  A block's arrays are dropped before the next is built.
     """
-    guesses = weights = None
     step = estimator.block_rows
     for start in range(0, panel.t_len, step):
         mask = panel.mask[start : start + step]
         values = np.where(mask, panel.values[start : start + step], 0.0)
-        if tracker is not None:
-            weights = _edge_similarities(values, mask, estimator.ei, estimator.ej)
-            guesses, _ = tracker.replay(weights)
-            np.copyto(weights, guesses, where=np.isnan(weights))
         rows, targets = cells(start, mask)
+        estimates, codes = estimator.estimate(values, mask, rows, targets)
         if rows.size:
-            estimates, codes = estimator.estimate(values, mask, rows, targets, guesses, weights)
             yield start, values, mask, rows, targets, estimates, codes
+        del mask, values, rows, targets, estimates, codes
 
 
 def run_estimator(
@@ -512,22 +531,14 @@ def run_estimator(
     the guesses the tracker played before it.
 
     Args:
-        tracker: weighted_graph only: the state to continue from, updated
-            in place; a fresh one (rate `config.learning_rate`) when
-            omitted.
+        tracker: weighted_graph only, as `make_estimator` takes it.
 
     Raises:
         ConfigError: when the method needs a layout or graph not given.
         InputError: when the panel's sensors or the tracker's edges do
             not match.
     """
-    estimator = make_estimator(config, panel.sensor_ids, layout, graph)
-    if config.method != "weighted_graph":
-        tracker = None
-    elif tracker is None:
-        tracker = SimilarityTracker.for_graph(graph, eta=config.learning_rate)
-    elif tracker.edge_ids != graph.edge_ids:
-        raise InputError("tracker edges do not match the graph")
+    estimator = make_estimator(config, panel.sensor_ids, layout, graph, tracker)
     filled = panel.values.copy()
     provenance = np.where(
         panel.mask, int(Provenance.OBSERVED), int(Provenance.UNIMPUTABLE)
@@ -536,7 +547,7 @@ def run_estimator(
     def holes(start, mask):
         return np.nonzero(~mask & mask.any(axis=1, keepdims=True))
 
-    for start, _, _, rows, targets, estimates, codes in _blocks(panel, estimator, tracker, holes):
+    for start, _, _, rows, targets, estimates, codes in _blocks(panel, estimator, holes):
         filled[start + rows, targets] = estimates
         provenance[start + rows, targets] = codes
     return ImputationResult(panel.sensor_ids, panel.timestamps, filled, provenance)

@@ -5,11 +5,11 @@ estimator on the modified row, and scores the estimate against the hidden
 truth.  For the time-varying graph method the per-row similarity guesses
 depend only on the rows before it, which the hide does not touch, so every
 (row, sensor) score can be computed independently.  So evaluation walks
-`impute`'s `_blocks`, with the same block size, guesses and edge weights,
-and has the impute estimator estimate each block's scored cells; hiding a
-sensor puts the guesses on its edges, and the estimators never count a
-cell's own sensor among its neighbors.  Evaluation keeps only the
-baseline and the scoring.
+`impute`'s `_blocks` with the impute estimator, which sizes the blocks
+and, for that method, replays its own tracker over each, as in `impute`;
+it estimates each block's scored cells.  Hiding a sensor puts the
+guesses on its edges, and the estimators never count a cell's own sensor
+among its neighbors.  Evaluation keeps only the baseline and the scoring.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .errors import ConfigError, InputError, UndefinedScoreError
 from .estimators import EstimatorConfig, Panel, Provenance, _blocks, make_estimator
 from .graph import FarmGraph, FarmLayout, Sensor, build_graph, pairwise_distances
 from .graph import propose_grid_edges
-from .online import SimilarityTracker
 from .spectral import single_blas_thread
 
 SETUPS = ("complete", "incomplete")
@@ -201,9 +200,6 @@ def leave_one_out_eval(
 
     estimator = make_estimator(config, panel.sensor_ids, layout, graph)
     baseline_estimator = make_estimator(EstimatorConfig("naive"), panel.sensor_ids)
-    tracker = None
-    if config.method == "weighted_graph":
-        tracker = SimilarityTracker.for_graph(graph, eta=config.learning_rate)
     # Per sensor: scored cells, and squared errors of estimates and baseline.
     counts = np.zeros(n, dtype=int)
     squares = np.zeros((2, n))
@@ -213,17 +209,18 @@ def leave_one_out_eval(
         rows_within = None if within is None else within[start : start + len(mask)]
         return np.nonzero(scorable_cells(mask, setup, rows_within))
 
-    blocks = _blocks(panel, estimator, tracker, scored)
-    for _, values, mask, rows, targets, estimates, codes in blocks:
+    for _, values, mask, rows, targets, estimates, codes in _blocks(panel, estimator, scored):
         baseline = estimates
         # The plain mean weights nothing, so naive reports no fallback counts.
         if config.method != "naive":
-            baseline, _ = baseline_estimator.estimate(values, mask, rows, targets)
+            baseline = baseline_estimator.estimate(values, mask, rows, targets)[0]
             tags += np.bincount(codes, minlength=len(Provenance))
         counts += np.bincount(targets, minlength=n)
         for k, guess in enumerate((estimates, baseline)):
             errors = values[rows, targets] - guess
             squares[k] += np.bincount(targets, errors**2, minlength=n)
+        # Nothing of this block outlives it while `_blocks` builds the next.
+        del values, mask, rows, targets, estimates, codes, baseline, guess, errors
     with np.errstate(invalid="ignore"):  # 0 / 0: NaN for an unscored sensor
         per_rmse, per_naive = np.sqrt(squares / counts)
     fallback_counts = {p.label: int(tags[p]) for p in Provenance if tags[p]}

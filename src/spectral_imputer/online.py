@@ -6,7 +6,8 @@ gradient step.  The carried state y is the pre-projection iterate: the
 gradient is taken at the projected guess, but the step is applied to y
 itself, so with a large learning rate y can leave [0, 1] while the played
 guess stays clamped.  Rounds without a revealed value leave the state
-untouched.
+untouched.  `SimilarityTracker.replay` is the one recursion that moves a
+tracker, over a block of rounds; `update` is one round of it.
 
 With learning_rate 0.5 the update lands exactly on the revealed value, so
 the tracker degenerates to last-value persistence; 1/(2 sqrt(count)) is
@@ -26,9 +27,9 @@ ETA_MAX = np.finfo(float).max / 2
 ETA_ERROR = f"learning rate must be finite, in (0, {ETA_MAX:.4g}]"
 
 
-def _as_similarities(values, n, ndim):
+def _as_similarities(values, n):
     r = np.asarray(values, dtype=float)
-    if r.ndim != ndim or r.shape[-1] != n:
+    if r.ndim != 2 or r.shape[1] != n:
         raise InputError(
             f"expected {n} similarity entries per round, got shape {r.shape}"
         )
@@ -44,7 +45,7 @@ class SimilarityTracker:
 
     Args:
         edge_ids: (from_id, to_id) pairs; order fixes the lane layout that
-            `update` rows and checkpoints use.
+            `replay` columns and checkpoints use.
         eta: learning rate, scalar in (0, ETA_MAX], or one rate per edge.
     """
 
@@ -79,6 +80,9 @@ class SimilarityTracker:
     def update(self, revealed) -> np.ndarray:
         """Pay losses for one round, then take the gradient step.
 
+        One round of `replay`, so a run of `update` calls moves the state
+        exactly as one `replay` of their rows does.
+
         Args:
             revealed: one entry per edge; NaN (or None) marks an edge with
                 nothing revealed this round, any other value must lie in
@@ -87,25 +91,27 @@ class SimilarityTracker:
         Returns:
             Per-edge squared-error losses paid this round.
         """
-        r, rev = _as_similarities(revealed, self.edge_count, 1)
-        return self._step(r, rev)
+        return self.replay(np.asarray(revealed, dtype=float)[None])[1][0]
 
     def replay(self, similarities):
-        """Run `update` over a (T, E) block of rounds, validated once.
+        """Play, pay and step over a (T, E) block of rounds, validated once.
 
-        Row t of the block is round t; NaN marks an edge with nothing
-        revealed.  The state moves exactly as T `update` calls would move
-        it, bit for bit.
+        The one recursion that moves a tracker.  Row t of the block is
+        round t; NaN marks an edge with nothing revealed.  Replaying a
+        block in pieces moves the state exactly as one replay of it does,
+        bit for bit.
 
         Returns:
             (guesses, losses), both (T, E): `guesses[t]` is what the
             tracker played at round t, before seeing row t, and
             `losses[t]` what it paid there.
         """
-        sims, rev = _as_similarities(similarities, self.edge_count, 2)
+        sims, rev = _as_similarities(similarities, self.edge_count)
         guesses = np.empty(sims.shape)
         y, s_hat, twice_eta = self.y, self.s_hat, self._twice_eta
-        # `_step`'s recursion alone; what it adds up per round follows.
+        # The recursion alone; what it adds up per round follows.  The
+        # gradient of (s - s_hat)^2 at the played guess is -2 err; the
+        # step lands on the carried pre-projection state.
         for t in range(sims.shape[0]):
             guesses[t] = s_hat
             err = np.where(rev[t], sims[t] - s_hat, 0.0)
@@ -122,20 +128,6 @@ class SimilarityTracker:
         _add_rounds(self.cumulative_loss, rounds)
         self.revealed_count += rev.sum(axis=0)
         return guesses, losses
-
-    def _step(self, r, rev):
-        err = np.where(rev, r - self.s_hat, 0.0)
-        losses = err * err
-        self.cumulative_loss += losses
-        # Gradient of (s - s_hat)^2 at the played guess is -2 err; the
-        # step lands on the carried pre-projection state.
-        err *= self._twice_eta
-        self.y += err
-        np.minimum(self.y, 1.0, out=self.s_hat)
-        np.maximum(self.s_hat, 0.0, out=self.s_hat)
-        self.revealed_count += rev
-        self.running_sum_revealed += np.where(rev, r, 0.0)
-        return losses
 
 
 def _add_rounds(state, rounds):

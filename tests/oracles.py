@@ -4,8 +4,8 @@ Everything here is deliberately written from the defining formulas with
 different machinery than the package: the generalized eigenproblem goes
 through scipy's two-argument eigh instead of the package's symmetric
 reduction, connectivity uses flood fill instead of root hooking, kernels use
-math.exp instead of numpy expressions, the tracker replay is a plain
-per-edge loop, and the panel CSV writers go cell by cell through
+math.exp instead of numpy expressions, the tracker is a plain loop over
+edges and rounds, and the panel CSV writers go cell by cell through
 csv.writer.  Agreement between these routes and the package is the
 evidence; sharing code would make the checks circular.
 """
@@ -17,8 +17,12 @@ import math
 import numpy as np
 import scipy.linalg
 
-from spectral_imputer.errors import InputError, UndefinedBaselineError, UndefinedScoreError
+from spectral_imputer.errors import InputError, SpectralImputerError, UndefinedScoreError
 from spectral_imputer.graph import adjacency
+
+
+class UndefinedBaselineError(SpectralImputerError):
+    """A statistic over revealed values was requested with none revealed."""
 
 
 def kernel_value(kind, u):
@@ -99,23 +103,43 @@ def embedding_distance(emb, a, b):
     return math.sqrt(sum((x - y) ** 2 for x, y in pairs))
 
 
-def replay_guesses(similarity_rows, eta):
-    """Tracker guesses before each round, plain per-edge loop.
+TRACKER_STATE = ("y", "s_hat", "cumulative_loss", "revealed_count", "running_sum_revealed")
 
-    `similarity_rows` is (T, E) with None/NaN for unrevealed entries.
+
+def tracker_rounds(similarity_rows, eta):
+    """A fresh tracker run one edge and one round at a time.
+
+    `similarity_rows` is (T, E) with None/NaN for unrevealed entries, and
+    `eta` one learning rate or one per edge.  Returns (guesses, losses,
+    state): (T, E) lists of the guess played before each round and the
+    squared error paid in it (0 where nothing was revealed), and a dict
+    with each TRACKER_STATE name's final per-edge list.
     """
     t_len = len(similarity_rows)
     n_edges = len(similarity_rows[0]) if t_len else 0
+    etas = np.broadcast_to(eta, (n_edges,)).tolist()
     guesses = [[None] * n_edges for _ in range(t_len)]
+    losses = [[0.0] * n_edges for _ in range(t_len)]
+    state = {name: [] for name in TRACKER_STATE}
     for e in range(n_edges):
-        y = 1.0
+        y = s_hat = 1.0
+        loss = total = 0.0
+        count = 0
         for t in range(t_len):
-            s_hat = min(1.0, max(0.0, y))
             guesses[t][e] = s_hat
             s = similarity_rows[t][e]
-            if s is not None and not (isinstance(s, float) and math.isnan(s)):
-                y = y + 2.0 * eta * (s - s_hat)
-    return guesses
+            if s is None or math.isnan(s):
+                continue
+            err = float(s) - s_hat
+            losses[t][e] = err * err
+            loss += err * err
+            total += float(s)
+            count += 1
+            y += 2.0 * etas[e] * err
+            s_hat = max(min(y, 1.0), 0.0)
+        for name, value in zip(TRACKER_STATE, (y, s_hat, loss, count, total)):
+            state[name].append(value)
+    return guesses, losses, state
 
 
 def _geo_dists(positions, col, others):
@@ -179,7 +203,7 @@ def oracle_impute_cell(
             else:
                 row.append(None)
         sim_rows.append(row)
-    guesses = replay_guesses(sim_rows, eta)
+    guesses, _, _ = tracker_rounds(sim_rows, eta)
     weights_row = [
         sim_rows[t][e] if sim_rows[t][e] is not None else guesses[t][e]
         for e in range(len(edges))

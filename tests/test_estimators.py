@@ -24,7 +24,7 @@ from spectral_imputer.kernels import WeightVector
 from spectral_imputer.online import SimilarityTracker
 
 from conftest import chain_graph, grid_layout, make_layout, random_connected_graph
-from oracles import hidden_cell_weights, oracle_impute_cell
+from oracles import TRACKER_STATE, hidden_cell_weights, oracle_impute_cell
 
 
 def make_panel(rows, ids):
@@ -371,7 +371,7 @@ class TestWeightedGraph:
 
 def row_by_row_weighted(panel, graph, kind, r, tracker):
     """Streaming reference: one `impute_row` and one tracker update per row."""
-    worker = _WeightedRowImputer(graph, kind, r, 1e-12)
+    worker = _WeightedRowImputer(graph, kind, r, 1e-12, tracker)
     revealed = revealed_similarity_rows(panel, graph)
     filled = panel.values.copy()
     provenance = np.zeros(panel.values.shape, dtype=np.int8)
@@ -384,9 +384,6 @@ def row_by_row_weighted(panel, graph, kind, r, tracker):
             provenance[t, miss] = codes[miss]
         tracker.update(revealed[t])
     return filled, provenance
-
-
-TRACKER_STATE = ("y", "s_hat", "cumulative_loss", "revealed_count", "running_sum_revealed")
 
 
 class TestWeightedEngineAgreement:
@@ -543,7 +540,7 @@ class TestWeightedEngineAgreement:
             return np.nonzero(mask & (mask.sum(axis=1, keepdims=True) > 1))
 
         monkeypatch.setattr(estimators, "batched_coordinates", spy)
-        walk = estimators._blocks(panel, estimator, SimilarityTracker.for_graph(graph), observed)
+        walk = estimators._blocks(panel, estimator, observed)
         cells = [(start + rows, targets) for start, _, _, rows, targets, _, _ in walk]
         rows, targets = map(np.concatenate, zip(*cells))
         # Readings in (0, 1) leave every similarity positive: every hidden

@@ -470,14 +470,10 @@ def test_dense_farm_weighted_impute_memory_bounded_by_blocks(monkeypatch, rows, 
     assert peak <= 2 * holed.values.nbytes + 6 * spectral.BATCH_BYTES
 
 
-@pytest.mark.parametrize("rows, cols, t_len, scored", [(5, 7, 1000, 1000), (14, 14, 24, 12)])
-def test_dense_farm_weighted_eval_memory_bounded_by_blocks(monkeypatch, rows, cols, t_len, scored):
-    """Up to DENSE_SOLVER_MAX leave-one-out walks weighted impute's blocks
-    and copies the row of each hidden cell, `block_rows` cells at a time,
-    so it stays within the 6 BATCH_BYTES that weighted impute meets
-    (measured: 5.9 on 5x7 and 3.9 on 14x14; blocks of 53 and 1 rows that
-    sent all their cells to the engine in one call took 7.2 and 6.7).
-    On 14x14 the first block, 12 rows, is scored."""
+def _dense_eval_peak(monkeypatch, rows, cols, t_len, scored):
+    """Incomplete-setup weighted leave-one-out on a dense farm scoring its
+    first `scored` rows: the tracemalloc peak above the panel, in
+    BATCH_BYTES."""
     monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "2")
     layout, graph = _grid_setup(rows, cols)
     cfg = EstimatorConfig(method="weighted_graph")
@@ -493,7 +489,25 @@ def test_dense_farm_weighted_eval_memory_bounded_by_blocks(monkeypatch, rows, co
     finally:
         tracemalloc.stop()
     assert rep.scored_counts.sum() > 0.9 * rows * cols * scored
-    assert peak <= panel.values.nbytes + 6 * spectral.BATCH_BYTES
+    return (peak - panel.values.nbytes) / spectral.BATCH_BYTES
+
+
+@pytest.mark.parametrize("rows, cols, t_len, scored", [(5, 7, 1000, 1000), (14, 14, 24, 12)])
+def test_dense_farm_weighted_eval_memory_bounded_by_blocks(monkeypatch, rows, cols, t_len, scored):
+    """Up to DENSE_SOLVER_MAX leave-one-out walks weighted impute's blocks
+    and copies the row of each hidden cell, `block_rows` cells at a time,
+    so it stays within the 6 BATCH_BYTES that weighted impute meets
+    (measured: 4.8 on 5x7 and 3.7 on 14x14; blocks of 53 and 1 rows that
+    sent all their cells to the engine in one call took 7.2 and 6.7).
+    On 14x14 the first block, 12 rows, is scored."""
+    assert _dense_eval_peak(monkeypatch, rows, cols, t_len, scored) <= 6
+
+
+def test_dense_farm_weighted_eval_drops_each_scored_block(monkeypatch):
+    """Neither `_blocks` nor leave-one-out keeps a scored block's arrays,
+    or its edge weights, while the next block is built: 5x7 peaks at 4.8
+    BATCH_BYTES above the panel, against 5.5 when they were kept."""
+    assert _dense_eval_peak(monkeypatch, 5, 7, 1000, 1000) <= 5.4
 
 
 def test_eval_unscored_sensor_reports_nan_and_is_excluded():

@@ -1041,6 +1041,26 @@ def test_cli_sweep_outputs(tmp_path):
     assert header == "method,setup,1,2"
 
 
+@pytest.mark.parametrize(
+    "command, method",
+    [(["sweep", "--methods", "naive,unweighted_graph,weighted_graph"], "unweighted_graph"),
+     (["sweep", "--methods", "weighted_graph,unweighted_graph"], "weighted_graph"),
+     (["impute", "--method", "weighted_graph"], "weighted_graph"),
+     (["evaluate", "--method", "unweighted_graph"], "unweighted_graph")],
+)
+def test_cli_graph_method_without_edges_single_line_error(tmp_path, capsys, command, method):
+    # `sweep` has --methods, not --method: naming the method that needs the
+    # graph used to raise AttributeError there.
+    layout_csv = _layout_file(tmp_path)
+    masked_csv, _ = _simulate(tmp_path, layout_csv)
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main([*command, "--layout", layout_csv, "--panel", masked_csv, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: method {method!r} needs --edges\n"
+    assert not out.exists()
+
+
 def test_cli_large_farm_impute_does_not_depend_on_block_rows(tmp_path, monkeypatch):
     # Above DENSE_SOLVER_MAX blocks are sized by per-row arrays, so they
     # hold many more rows than the dense route's (B, n, n) rule would.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spectral_imputer.errors import InputError, UndefinedBaselineError
+from spectral_imputer.errors import InputError
 from spectral_imputer.online import (
     ETA_MAX,
     SimilarityTracker,
@@ -9,7 +9,8 @@ from spectral_imputer.online import (
     track_sequence,
 )
 
-from oracles import best_constant, regret
+from oracles import TRACKER_STATE, UndefinedBaselineError, best_constant, regret
+from oracles import tracker_rounds
 
 
 def one_edge_tracker(eta, s_hat=None):
@@ -112,23 +113,31 @@ class TestTrackerUpdates:
             assert np.array_equal(g1[:, 0], guesses[:, lane], equal_nan=True)
             assert np.array_equal(l1[:, 0], losses[:, lane], equal_nan=True)
 
-    def test_replay_matches_update_loop_bit_for_bit(self):
+    def test_replay_matches_round_loop_bit_for_bit(self):
+        # One whole block, random splits of it into blocks (as checkpoints
+        # slice a run), and one `update` per round all match the loop.
         rng = np.random.default_rng(8)
         sims = rng.random((60, 5))
         sims[rng.random((60, 5)) < 0.4] = np.nan
-        eta = rng.uniform(0.05, 0.9, 5)
+        # Rates above 0.5 overshoot, and the largest leave [0, 1].
+        eta = np.array([0.05, 0.3, 0.5, 0.9, 4.0])
+        guesses, losses, state = tracker_rounds(sims, eta)
+        splits = [[0, 60]] + [
+            [0, *np.sort(rng.choice(np.arange(1, 60), k, replace=False)), 60]
+            for k in (1, 3, 12)
+        ] + [list(range(61))]
+        for bounds in splits:
+            tracker = SimilarityTracker([("a", str(k)) for k in range(5)], eta=eta)
+            pieces = [tracker.replay(sims[a:b]) for a, b in zip(bounds, bounds[1:])]
+            got_guesses, got_losses = map(np.concatenate, zip(*pieces))
+            assert np.array_equal(got_guesses, guesses)
+            assert np.array_equal(got_losses, losses)
+            for name in TRACKER_STATE:
+                assert np.array_equal(getattr(tracker, name), state[name])
         stepped = SimilarityTracker([("a", str(k)) for k in range(5)], eta=eta)
-        replayed = SimilarityTracker([("a", str(k)) for k in range(5)], eta=eta)
-        guesses, losses = [], []
-        for row in sims:
-            guesses.append(stepped.guesses)
-            losses.append(stepped.update(row))
-        got_guesses, got_losses = replayed.replay(sims)
-        assert np.array_equal(got_guesses, guesses)
-        assert np.array_equal(got_losses, losses)
-        for name in ("y", "s_hat", "cumulative_loss", "revealed_count",
-                     "running_sum_revealed"):
-            assert np.array_equal(getattr(replayed, name), getattr(stepped, name))
+        assert np.array_equal([stepped.update(row) for row in sims], losses)
+        for name in TRACKER_STATE:
+            assert np.array_equal(getattr(stepped, name), state[name])
 
     def test_replay_rejects_bad_blocks_without_moving(self):
         tracker = SimilarityTracker([("a", "b"), ("b", "c")], eta=0.5)
