@@ -254,14 +254,13 @@ def sweep(
     already split across `thread_cap()` workers by the embedding engine.
     The returned ordering is by mean improvement rounded to
     RANK_DECIMALS decimals, ties broken by configuration order, so
-    improvements that differ only by rounding keep that order.
+    improvements that differ only by rounding keep that order.  An
+    unknown setup, or one with no scorable cell, raises before any run.
     """
     configs = list(configs)
     for setup in setups:
-        if setup not in SETUPS:
-            raise ConfigError(
-                f"unknown setup {setup!r}; choose from {', '.join(SETUPS)}"
-            )
+        if not scorable_cells(panel.mask, setup, within).any():
+            raise UndefinedScoreError(f"no cell is scorable under setup {setup!r}")
     reports = [
         leave_one_out_eval(panel, config, setup, layout, graph, within)
         for config in configs

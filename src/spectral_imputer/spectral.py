@@ -17,32 +17,35 @@ Up to DENSE_SOLVER_MAX nodes each graph is solved densely, on its
 reduced matrix I - S A S (S = D^(-1/2)) built from the edges.  An
 embedding reads only pairs 1..r + 1: pair 0, eigenvalue 0 with vector
 D^(1/2) 1 (Belkin & Niyogi, 2003), is known.  So from PARTIAL_SOLVER_MIN
-nodes each graph gets LAPACK's `dsyevr` for pairs 1..r + 1 alone (more
-while a degenerate group reaches the last one fetched), called through
-ctypes from numpy's bundled OpenBLAS; smaller graphs, or all of them
-where that symbol is missing, share batched full `eigh` calls.  This
-route and the iterative one below form a graph's degrees and matrix
-entries by one code path, bit for bit.  The dense route is the only
-code that runs on more than one thread: it splits the batch across
-`thread_cap()` workers, with numpy's bundled OpenBLAS pinned to one
-thread meanwhile, since BLAS threads and worker threads compete for the
-same cores; a ctypes call, like `eigh`, runs without the GIL.  The
-workers are a pool kept per calling thread, built by the first call that
-splits and rebuilt only when the cap changes, so a call costs no thread
-start.  Each graph is solved on its own, so the split changes no bit of
-the result.
+nodes each graph gets LAPACK's `dsyevr` for pairs 1..r + 1 alone, once,
+called through ctypes from numpy's bundled OpenBLAS.  Each graph that
+fetch does not settle (its solve failed, or its degenerate group
+reaches the last pair fetched), and each graph where that symbol is
+missing or below PARTIAL_SOLVER_MIN, shares one batched full `eigh`
+per chunk.  This route and the iterative one below form a graph's
+degrees and matrix entries by one code path, bit for bit.  The dense
+route is the only code that runs on more than one thread: it splits the
+batch across `thread_cap()` workers, with numpy's bundled OpenBLAS
+pinned to one thread meanwhile, since BLAS threads and worker threads
+compete for the same cores; a ctypes call, like `eigh`, runs without the
+GIL.  The workers are a pool kept per calling thread, built by the first
+call that splits and rebuilt only when the cap changes, so a call costs
+no thread start.  Each graph is solved on its own, so the split changes
+no bit of the result.
 
-Above DENSE_SOLVER_MAX each graph gets a shift-inverted partial solve
+Above DENSE_SOLVER_MAX each graph gets one shift-inverted partial solve
 (ARPACK's Lanczos through `eigsh`, on a basis sized for the pairs asked
-for).  Its shifted matrix I - S A S - SHIFT I is positive definite, so
-LAPACK's banded Cholesky (`dpbtrf`) factors it in the narrower of the
-given node order and the reverse Cuthill-McKee order, chosen once per
-edge set and cached, which keeps a farm graph's band narrow
-(half-bandwidth 17 on a row-major 16x16 king grid); at worst, a band as
-wide as n, it is a dense Cholesky.  This route runs serially, with both
-numpy's and scipy's bundled OpenBLAS pinned to one thread: ARPACK holds
-the GIL, so worker threads gain nothing.  Its blocks of rows are sized
-by per-row arrays, as no (B, n, n) stack is formed.
+for, from a fixed start vector with seeded restarts); a graph it does
+not settle goes to the dense route alone.  Its shifted matrix
+I - S A S - SHIFT I is positive definite, so LAPACK's banded Cholesky
+(`dpbtrf`) factors it in the narrower of the given node order and the
+reverse Cuthill-McKee order, chosen once per edge set and cached, which
+keeps a farm graph's band narrow (half-bandwidth 17 on a row-major
+16x16 king grid); at worst, a band as wide as n, it is a dense
+Cholesky.  This route runs serially, with both numpy's and scipy's
+bundled OpenBLAS pinned to one thread: ARPACK holds the GIL, so worker
+threads gain nothing.  Its blocks of rows are sized by per-row arrays,
+as no (B, n, n) stack is formed.
 """
 
 from __future__ import annotations
@@ -463,59 +466,60 @@ def _dense_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
     """(B, n, k) coordinates from dense eigensolves of a chunk of graphs.
 
     From PARTIAL_SOLVER_MIN nodes each graph gets LAPACK's `dsyevr` for
-    its lowest pairs only; below it, or without that symbol, one batched
-    full `np.linalg.eigh` solves the chunk.
+    its lowest pairs only; `_lowest_pairs` settles every other graph,
+    all of them below it or without that symbol, with one batched full
+    `np.linalg.eigh`.
     """
     a, s = _reduced_laplacians(weights, ei, ej, n)
     solve = _dsyevr() if n >= PARTIAL_SOLVER_MIN else None
-    if solve is None:
-        return _coordinates(*np.linalg.eigh(a), s, r)
     return _coordinates(*_lowest_pairs(a, min(r, n - 1), solve), s, r)
 
 
 def _lowest_pairs(a, need: int, solve):
-    """`np.linalg.eigh(a)` cut to the lowest k >= need + 2 pairs, or to n.
+    """`np.linalg.eigh(a)`, or its lowest pairs where fewer settle every graph.
 
-    Pair 0 (eigenvalue 0, vector D^(1/2) 1) is known and never read, so
-    its slot is left zero: each graph of the (B, n, n) stack fetches pairs
-    1..need + 1 from `dsyevr`, then fills twice as many slots, up to n,
-    while the degenerate group of pair `need` reaches the last pair
-    fetched, so a graph's pairs depend on that graph alone.  Graphs
-    fetching fewer than the most are padded with zeros, past the end of
-    their widened groups.
+    With a `solve`, each graph of the (B, n, n) stack fetches pairs
+    1..need + 1 from `dsyevr` once; pair 0 (eigenvalue 0, vector
+    D^(1/2) 1) is known and never read, so its slot is left zero.  The
+    graphs that fetch did not settle, all of them without a `solve`,
+    share one full `eigh`: a failed solve, or one whose degenerate group
+    of pair `need` reaches the last pair fetched, short of n.  Each
+    graph's pairs depend on that graph alone.  Where only some graphs
+    took `eigh`, theirs are cut past the widest of their widened groups,
+    and the others padded with zeros past their own.
     """
     count, n, _ = a.shape
-    fetch = _PairFetcher(solve, n)
-    k = min(n, need + 2)
-    vals, vecs = np.zeros((count, k)), np.zeros((count, k, n))
-    for b in range(count):
-        fetch(a[b], vals[b, 1:], vecs[b, 1:])
-    more = {}
-    for b in np.flatnonzero(widen_to_degenerate_group(vals, need) + 1 >= k):
-        w = vals[b]
-        while w.size < n and widen_to_degenerate_group(w, need) + 1 >= w.size:
-            size = min(n, 2 * w.size)
-            w, z = np.zeros(size), np.zeros((size, n))
-            fetch(a[b], w[1:], z[1:])
-            more[b] = w, z
-    if more:
-        k = max(w.size for w, _ in more.values())
-        vals = np.pad(vals, ((0, 0), (0, k - vals.shape[1])))
-        vecs = np.pad(vecs, ((0, 0), (0, k - vecs.shape[1]), (0, 0)))
-        for b, (w, z) in more.items():
-            vals[b, : w.size], vecs[b, : w.size] = w, z
-    return vals, vecs.transpose(0, 2, 1)
+    unsettled = np.ones(count, bool)
+    if solve is not None:
+        fetch = _PairFetcher(solve, n)
+        k = min(n, need + 2)
+        vals, vecs = np.zeros((count, k)), np.zeros((count, k, n))
+        for b in range(count):
+            unsettled[b] = not fetch(a[b], vals[b, 1:], vecs[b, 1:])
+        unsettled |= (k < n) & (widen_to_degenerate_group(vals, need) + 1 >= k)
+        vecs = vecs.transpose(0, 2, 1)
+    if not unsettled.any():
+        return vals, vecs
+    full = np.linalg.eigh(a if unsettled.all() else a[unsettled])
+    if unsettled.all():
+        return full
+    wide = max(k, int(widen_to_degenerate_group(full[0], need).max()) + 1)
+    vals = np.pad(vals, ((0, 0), (0, wide - k)))
+    vecs = np.pad(vecs, ((0, 0), (0, 0), (0, wide - k)))
+    vals[unsettled], vecs[unsettled] = full[0][:, :wide], full[1][:, :, :wide]
+    return vals, vecs
 
 
 class _PairFetcher:
     """fetch(m, w, z): eigenpairs 1..w.size of an (n, n) matrix, pair 0 skipped.
 
     Writes the eigenvalues, ascending, into w and eigenvector j into row
-    j of z; m, symmetric, is read and left intact.  LAPACK is asked for
-    pairs IL = 2 to w.size + 1 in its 1-based count.  The work arrays are
-    this fetcher's own, so fetchers on different threads run in
-    parallel; they live as long as it does, since LAPACK gets only their
-    addresses.  A failed solve (nonzero info) takes `np.linalg.eigh`'s.
+    j of z, and returns True; returns False, writing nothing, if LAPACK
+    fails (nonzero info).  m, symmetric, is read and left intact.  LAPACK
+    is asked for pairs IL = 2 to w.size + 1 in its 1-based count.  The
+    work arrays are this fetcher's own, so fetchers on different threads
+    run in parallel; they live as long as it does, since LAPACK gets
+    only their addresses.
     """
 
     def __init__(self, solve, n: int):
@@ -537,13 +541,12 @@ class _PairFetcher:
         self.tail += [self.work.ctypes.data, self.work.size]
         self.tail += [self.iwork.ctypes.data, self.iwork.size]
 
-    def __call__(self, m, w, z):
+    def __call__(self, m, w, z) -> bool:
         np.copyto(self.matrix, m)
-        if self.solve(*self.head, w.size + 1, *self.tail) == 0:
-            w[:], z[:] = self.found[: w.size], self.vectors[: w.size]
-        else:
-            full, u = np.linalg.eigh(m)
-            w[:], z[:] = full[1 : w.size + 1], u[:, 1 : w.size + 1].T
+        if self.solve(*self.head, w.size + 1, *self.tail) != 0:
+            return False
+        w[:], z[:] = self.found[: w.size], self.vectors[: w.size]
+        return True
 
 
 def _band_layout(ei, ej, n: int):
@@ -584,13 +587,13 @@ def _band_layout_of(n: int, ei_bytes: bytes, ej_bytes: bytes):
 def _iterative_coordinates(weights, ei, ej, n: int, r: int, layout) -> np.ndarray:
     """(1, n, k) coordinates of one graph from a shift-inverted partial solve.
 
-    The shifted matrix is Cholesky-factored on `_band_layout`'s band, or
-    the graph goes to the dense route if that fails (impossible in exact
-    arithmetic); eigsh, in the layout's node order, gets the factor's
-    solve as its inverse operator.  Fetches a few pairs past the
-    requested dimension, and more until the widened group's boundary
-    sits strictly inside what was fetched; a group that runs past what
-    the solver can expose, or an ARPACK failure, is settled densely.
+    The shifted matrix is Cholesky-factored on `_band_layout`'s band;
+    eigsh, in the layout's node order, gets the factor's solve as its
+    inverse operator and fetches the lowest need + 2 pairs once, from
+    fixed start and restart vectors.  A failed factor (impossible in
+    exact arithmetic), an ARPACK failure, or a widened group whose
+    boundary is not strictly inside what was fetched sends the graph to
+    the dense route.
     """
     from scipy.linalg.lapack import dpbtrf, dpbtrs
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
@@ -606,32 +609,29 @@ def _iterative_coordinates(weights, ei, ej, n: int, r: int, layout) -> np.ndarra
     inverse = LinearOperator(
         (n, n), matvec=lambda x: dpbtrs(factor, x, lower=1)[0], dtype=float
     )
-    v0 = np.full(n, 1.0 / np.sqrt(n))  # fixed start keeps runs reproducible
     need = min(r, n - 1)
     k = min(n - 1, need + 2)
-    while True:
-        # ARPACK's Lanczos basis, smaller than scipy's default of
-        # max(2k + 1, 20).  Over 30 graphs of a king grid, r = 2 (k = 4),
-        # matvecs and ms per graph fell from 35.4 and 1.00 to 29.0 and 0.77
-        # at 16x16, and from 36.0 and 1.83 to 33.2 and 1.71 at 24x24; the
-        # eigenvalues moved by at most 2e-16.
-        ncv = min(n, max(2 * k + 1, 12))
-        try:
-            # In shift-invert mode eigsh applies only OPinv; A lends its shape.
-            vals, u = eigsh(
-                inverse, k=k, ncv=ncv, sigma=SHIFT, which="LM", v0=v0, OPinv=inverse
-            )
-        except ArpackError:  # no convergence, or no shift left to apply
-            return _dense_coordinates(weights[None], ei, ej, n, r)
-        order = np.argsort(vals)
-        vals = vals[order]
-        if widen_to_degenerate_group(vals, min(need, k - 1)) + 1 < k:
-            back = np.empty_like(u)
-            back[perm] = u[:, order]
-            return _coordinates(vals[None], back[None], s, r)
-        if k >= n - 1:
-            return _dense_coordinates(weights[None], ei, ej, n, r)
-        k = min(n - 1, k * 2)
+    # ARPACK's Lanczos basis, smaller than scipy's default of
+    # max(2k + 1, 20).  Over 30 graphs of a king grid, r = 2 (k = 4),
+    # matvecs and ms per graph fell from 35.4 and 1.00 to 29.0 and 0.77
+    # at 16x16, and from 36.0 and 1.83 to 33.2 and 1.71 at 24x24; the
+    # eigenvalues moved by at most 2e-16.
+    ncv = min(n, max(2 * k + 1, 12))
+    try:
+        # In shift-invert mode eigsh applies only OPinv; A lends its shape.
+        vals, u = eigsh(
+            inverse, k=k, ncv=ncv, sigma=SHIFT, which="LM", OPinv=inverse,
+            v0=np.full(n, 1.0 / np.sqrt(n)), rng=np.random.default_rng(0),
+        )
+    except ArpackError:  # no convergence, or no shift left to apply
+        return _dense_coordinates(weights[None], ei, ej, n, r)
+    order = np.argsort(vals)
+    vals = vals[order]
+    if widen_to_degenerate_group(vals, min(need, k - 1)) + 1 >= k:
+        return _dense_coordinates(weights[None], ei, ej, n, r)
+    back = np.empty_like(u)
+    back[perm] = u[:, order]
+    return _coordinates(vals[None], back[None], s, r)
 
 
 def target_distances(coords: np.ndarray, targets) -> np.ndarray:

@@ -1061,6 +1061,35 @@ def test_cli_graph_method_without_edges_single_line_error(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_cli_sweep_unscorable_setup_fails_before_any_run(tmp_path, capsys, monkeypatch):
+    # Every row of the first half misses one cell, so `--split first`
+    # leaves the complete setup nothing to score: sweep must say so
+    # before it runs any leave-one-out.
+    from spectral_imputer import evaluation
+
+    layout_csv = _layout_file(tmp_path, rows=3, cols=3)
+    _, full_csv = _simulate(tmp_path, layout_csv)
+    lines = Path(full_csv).read_text().splitlines()
+    for t in range(1, 41):
+        cells = lines[t].split(",")
+        cells[1 + t % 9] = ""
+        lines[t] = ",".join(cells)
+    panel_csv = _write(tmp_path / "holed.csv", "\n".join(lines) + "\n")
+    runs, loo = [], evaluation.leave_one_out_eval
+    monkeypatch.setattr(
+        evaluation, "leave_one_out_eval", lambda *a, **k: runs.append(a) or loo(*a, **k)
+    )
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(
+        ["sweep", "--layout", layout_csv, "--panel", panel_csv,
+         "--methods", "naive,location", "--split", "first", "--out", str(out)]
+    )
+    assert rc == 2 and runs == []
+    assert capsys.readouterr().err == "error: no cell is scorable under setup 'complete'\n"
+    assert not out.exists()
+
+
 def test_cli_large_farm_impute_does_not_depend_on_block_rows(tmp_path, monkeypatch):
     # Above DENSE_SOLVER_MAX blocks are sized by per-row arrays, so they
     # hold many more rows than the dense route's (B, n, n) rule would.

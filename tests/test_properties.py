@@ -280,14 +280,12 @@ def _route_coordinates(route, weights, ei, ej, n, r, threads):
 def test_embedding_routes_agree(drawn, r):
     """Batched `eigh`, the deflated `dsyevr` fetch and the iterative route
     give every graph the same effective dimension and distances within
-    1e-8, and on the dense routes each graph's bits depend neither on its
+    1e-8, and on every route each graph's bits depend neither on its
     batch mates nor on the worker count.
 
-    The iterative route is held to this only where the lowest r + 2
-    eigenvalues are simple.  From its one start vector ARPACK can return
-    one member of a repeated eigenvalue where there are two, and where
-    its Krylov space runs out it restarts from a random vector whose seed
-    carries over from call to call: seen on 17-node stars."""
+    The iterative route is held to the same distances only where the
+    lowest r + 2 eigenvalues are simple: from its one start vector ARPACK
+    can return one member of a repeated eigenvalue where there are two."""
     weights, ei, ej, n = drawn
     routes = ["eigh", "dsyevr", "iterative"]
     if spectral._dsyevr() is None:
@@ -295,8 +293,6 @@ def test_embedding_routes_agree(drawn, r):
     got = {}
     for route in routes:
         coords = got[route] = _route_coordinates(route, weights, ei, ej, n, r, 1)
-        if route == "iterative":
-            continue
         assert np.array_equal(_route_coordinates(route, weights, ei, ej, n, r, 2), coords)
         for b, w in enumerate(weights):
             alone = _route_coordinates(route, w[None], ei, ej, n, r, 1)[0]

@@ -439,6 +439,39 @@ class TestIterativeRoute:
             want = target_distances(dense, [target] * len(weights))
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
+    def test_open_group_takes_the_dense_route(self, monkeypatch):
+        # The uniform 6x6 king grid's pairs 1 and 2 are one group, which
+        # reaches the last pair ARPACK fetched at r = 1.
+        import scipy.sparse.linalg as sparse_linalg
+
+        weights, ei, ej, n = _king_batch(6, 6, 3, 5, uniform=(0,))
+        dense = batched_coordinates(weights, ei, ej, n, 1)
+        eigsh, asked = sparse_linalg.eigsh, []
+
+        def spy(*args, **kwargs):
+            asked.append(kwargs["k"])
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", spy)
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", n - 1)
+        iterative = batched_coordinates(weights, ei, ej, n, 1)
+        assert asked == [3, 3, 3]
+        assert _widths(iterative).tolist() == [2, 1, 1]
+        assert np.array_equal(iterative[0], dense[0])
+
+    def test_restarts_are_seeded(self, monkeypatch):
+        # ARPACK restarts on this star.  Unseeded, the restart vector comes
+        # from fresh OS entropy, and six identical calls at r = 2 differ.
+        ei = np.array([*range(1, 17), 4, 13, 16])
+        ej = np.array([0] * 16 + [3, 5, 1])
+        weights = np.ones((1, ei.size))
+        monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", 2)
+        monkeypatch.setattr(
+            spectral, "_dense_coordinates", lambda *a, **k: pytest.fail("went dense")
+        )
+        runs = [batched_coordinates(weights, ei, ej, 17, 2) for _ in range(6)]
+        for run in runs[1:]:
+            assert np.array_equal(run, runs[0])
 
     def test_arpack_failure_falls_back_to_the_dense_route(self, monkeypatch):
         # Seen on a 17-node star under DENSE_SOLVER_MAX = 2: ARPACK error 3,
@@ -553,7 +586,7 @@ class TestPartialSolve:
                     rtol=0.0, atol=1e-12,
                 )
 
-    def test_fetches_more_pairs_while_a_group_reaches_the_last(self, monkeypatch):
+    def test_fetches_once_and_settles_an_open_group_with_eigh(self, monkeypatch):
         weights, ei, ej, n = _complete_batch(24, 4, 41)
         sizes = []
         fetch = spectral._PairFetcher.__call__
@@ -565,10 +598,14 @@ class TestPartialSolve:
         monkeypatch.setattr(spectral._PairFetcher, "__call__", spy)
         monkeypatch.setenv("SPECTRAL_IMPUTER_THREADS", "1")
         coords = batched_coordinates(weights, ei, ej, n, 2)
-        # Pair 0 is never fetched: four graphs at pairs 1..r + 1 (3 pairs),
-        # then the uniform one fills 8, 16 and 24 slots (7, 15, 23 pairs).
-        assert sizes == [3, 3, 3, 3, 7, 15, 23]
+        # Pair 0 is never fetched: each graph fetches pairs 1..r + 1 (3
+        # pairs) once.  The uniform graph's (n - 1)-fold group reaches the
+        # last of them, so it takes the full eigh instead.
+        assert sizes == [3, 3, 3, 3]
         assert _widths(coords).tolist() == [2, n - 1, 2, 2]
+        full = self._full(monkeypatch, weights, ei, ej, n, 2)
+        assert coords.shape == full.shape == (4, n, n - 1)
+        assert np.array_equal(coords[1], full[1])
 
     def test_no_solve_asks_for_the_trivial_pair(self, monkeypatch):
         solve = spectral._dsyevr()
@@ -617,7 +654,7 @@ class TestPartialSolve:
     @pytest.mark.parametrize("batch_bytes", [spectral.BATCH_BYTES, 30000])
     def test_bits_do_not_depend_on_the_cap(self, monkeypatch, blas, batch_bytes):
         # 30000 bytes hold 3 rows of 5x7 and 6 of 24 nodes, so the
-        # refetched uniform rows share chunks with others or not.
+        # uniform rows that take `eigh` share chunks with others or not.
         monkeypatch.setattr(spectral, "BATCH_BYTES", batch_bytes)
         cases = (_king_batch(5, 7, 40, 47, (5, 6)), _complete_batch(24, 20, 53))
         for weights, ei, ej, n in cases:
