@@ -197,12 +197,6 @@ def _cmd_impute(args):
     return staged, f"imputed panel ({tags or 'all observed'}; {clamped} clamped)"
 
 
-def _within(args, t_len: int):
-    if args.split == "all":
-        return None
-    return split_rows(t_len, args.split)
-
-
 def _cmd_evaluate(args):
     config = _estimator_config(args)
     layout = read_layout(args.layout)
@@ -210,7 +204,7 @@ def _cmd_evaluate(args):
     panel, clamped = load_panel(args.panel, layout)
     report = leave_one_out_eval(
         panel, config, args.setup, layout=layout, graph=graph,
-        within=_within(args, panel.t_len),
+        within=split_rows(panel.t_len, args.split),
     )
     staged = [
         (_out_path(args, "report.csv"), report_csv_text(report)),
@@ -264,7 +258,7 @@ def _cmd_sweep(args):
                 )
     reports = sweep(
         panel, configs, setups, layout=layout, graph=graph,
-        within=_within(args, panel.t_len),
+        within=split_rows(panel.t_len, args.split),
     )
     staged = [
         (_out_path(args, "ranked.csv"), ranked_csv_text(reports)),

@@ -36,6 +36,7 @@ from .kernels import KERNEL_NAMES, KERNEL_SUM_FLOOR, WeightVector
 from .kernels import kernel_weight_rows, kernel_weight_table
 from .online import ETA_ERROR, ETA_MAX, SimilarityTracker
 from .spectral import (
+    DENSE_SOLVER_MAX,
     batch_rows,
     batched_coordinates,
     component_coordinates,
@@ -266,10 +267,16 @@ def _kernel_fill(kind: str, dist, values, obs):
 
 
 class _MeanEstimator:
-    """naive: the plain mean of the row's other observed sensors."""
+    """naive: the plain mean of the row's other observed sensors.
+
+    Its estimates do not depend on its blocks, but leave-one-out adds up
+    its errors block by block, so the blocks fix its reports' last bits:
+    `batch_rows(n)` rows up to DENSE_SOLVER_MAX, and above it as many as
+    per-row work with no edges takes.
+    """
 
     def __init__(self, n: int):
-        self.block_rows = batch_rows(n)
+        self.block_rows = batch_rows(n) if n <= DENSE_SOLVER_MAX else graph_block_rows(n, 0)
 
     def estimate(self, values, obs, rows, targets):
         own = obs[rows, targets]
@@ -283,7 +290,8 @@ class _FixedDistanceEstimator:
 
     A cell whose row observes a sensor furthest from its target takes its
     weights from `kernel_weight_table`, so a block's kernel sums are matrix
-    products; the other cells take `_kernel_fill`.
+    products; the other cells take `_kernel_fill`, on (C, N) arrays with C
+    up to B·N, so blocks hold `batch_rows(N)` rows at any farm size.
     """
 
     def __init__(self, kind: str, dist: np.ndarray):
@@ -340,20 +348,6 @@ class _WeightedRowImputer:
         self.weight_floor = weight_floor
         self.static_dist = None
 
-    def batchable(self, obs, edge_weights) -> np.ndarray:
-        """(B,) bool: rows embedded together, the rest by `impute_row`.
-
-        A row qualifies when it has an observed sensor and every edge
-        weight clears the floor, on a farm of at least 3 sensors.  With
-        every edge live the row's graph is the static graph, which is
-        connected, so one `batched_coordinates` call embeds them all,
-        whatever the farm size; it alone picks the solver.  Farms under 3
-        sensors copy a lone neighbor instead.
-        """
-        if self.n < 3:
-            return np.zeros(len(obs), dtype=bool)
-        return obs.any(axis=1) & (edge_weights > self.weight_floor).all(axis=1)
-
     def estimate(self, values, obs, rows, targets):
         """Replay the tracker over the block, then estimate its cells.
 
@@ -381,8 +375,17 @@ class _WeightedRowImputer:
         return tuple(map(np.concatenate, zip(*parts)))
 
     def _embed_cells(self, values, obs, rows, targets, weights):
-        """Batchable rows share one embedding call, the rest take `impute_row`."""
-        fast = self.batchable(obs, weights)[rows]
+        """Estimate cells of rows embedded together, the rest by `impute_row`.
+
+        A row is embedded with the others when it has an observed sensor
+        and every edge weight clears the floor, on a farm of at least 3
+        sensors.  With every edge live the row's graph is the static
+        graph, which is connected, so one `batched_coordinates` call
+        embeds them all, whatever the farm size; it alone picks the
+        solver.  Farms under 3 sensors copy a lone neighbor instead.
+        """
+        embeddable = obs.any(axis=1) & (weights > self.weight_floor).all(axis=1)
+        fast = embeddable[rows] & (self.n >= 3)
         estimates = np.empty(rows.size)
         codes = np.empty(rows.size, dtype=np.int8)
         batch = np.unique(rows[fast])

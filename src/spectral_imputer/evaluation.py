@@ -426,15 +426,6 @@ class TimingReport:
     def weighted_slope(self) -> float:
         return self._slope(self.weighted_per_row)
 
-    def summary(self) -> dict:
-        return {
-            "n_values": list(self.n_values),
-            "naive_per_row_s": list(self.naive_per_row),
-            "weighted_per_row_s": list(self.weighted_per_row),
-            "naive_slope": self.naive_slope,
-            "weighted_slope": self.weighted_slope,
-        }
-
 
 def _timing_layout(n: int) -> FarmLayout:
     side = int(np.ceil(np.sqrt(n)))

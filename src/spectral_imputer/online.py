@@ -7,7 +7,7 @@ gradient is taken at the projected guess, but the step is applied to y
 itself, so with a large learning rate y can leave [0, 1] while the played
 guess stays clamped.  Rounds without a revealed value leave the state
 untouched.  `SimilarityTracker.replay` is the one recursion that moves a
-tracker, over a block of rounds; `update` is one round of it.
+tracker, over a block of rounds; a one-row block is one online round.
 
 With learning_rate 0.5 the update lands exactly on the revealed value, so
 the tracker degenerates to last-value persistence; 1/(2 sqrt(count)) is
@@ -68,45 +68,20 @@ class SimilarityTracker:
     def for_graph(cls, graph, eta=0.5):
         return cls(graph.edge_ids, eta=eta)
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edge_ids)
-
-    @property
-    def guesses(self) -> np.ndarray:
-        """Current played guesses, one per edge."""
-        return self.s_hat.copy()
-
-    def update(self, revealed) -> np.ndarray:
-        """Pay losses for one round, then take the gradient step.
-
-        One round of `replay`, so a run of `update` calls moves the state
-        exactly as one `replay` of their rows does.
-
-        Args:
-            revealed: one entry per edge; NaN (or None) marks an edge with
-                nothing revealed this round, any other value must lie in
-                [0, 1].
-
-        Returns:
-            Per-edge squared-error losses paid this round.
-        """
-        return self.replay(np.asarray(revealed, dtype=float)[None])[1][0]
-
     def replay(self, similarities):
         """Play, pay and step over a (T, E) block of rounds, validated once.
 
         The one recursion that moves a tracker.  Row t of the block is
-        round t; NaN marks an edge with nothing revealed.  Replaying a
-        block in pieces moves the state exactly as one replay of it does,
-        bit for bit.
+        round t, so a one-row block is one online round; NaN marks an edge
+        with nothing revealed.  Replaying a block in pieces moves the state
+        exactly as one replay of it does, bit for bit.
 
         Returns:
             (guesses, losses), both (T, E): `guesses[t]` is what the
             tracker played at round t, before seeing row t, and
             `losses[t]` what it paid there.
         """
-        sims, rev = _as_similarities(similarities, self.edge_count)
+        sims, rev = _as_similarities(similarities, len(self.edge_ids))
         guesses = np.empty(sims.shape)
         y, s_hat, twice_eta = self.y, self.s_hat, self._twice_eta
         # The recursion alone; what it adds up per round follows.  The

@@ -188,7 +188,6 @@ class Embedding:
     """
 
     coordinates: dict[str, np.ndarray]
-    r_requested: int
     r_eff: int
     component_index: int
 
@@ -323,25 +322,25 @@ def single_blas_thread():
                     put(count)
 
 
-def batch_rows(n: int, edges: int = 0) -> int:
-    """Rows per block of n-node graphs with `edges` edges.
-
-    Up to DENSE_SOLVER_MAX nodes, as many as keep the dense route's
-    (B, n, n) float64 stack near BATCH_BYTES.  Beyond it each graph is
-    solved alone, so a block's arrays are per row, of n or `edges`
-    entries: as many rows as keep ROW_ARRAYS (B, n + edges) float64
-    arrays near BATCH_BYTES.
-    """
-    if n <= DENSE_SOLVER_MAX:
-        return max(1, BATCH_BYTES // (8 * n * n))
-    return max(1, BATCH_BYTES // (8 * ROW_ARRAYS * (n + edges)))
+def batch_rows(n: int) -> int:
+    """Rows per batch of n-node work: as many as keep one (B, n, n) float64
+    stack near BATCH_BYTES."""
+    return max(1, BATCH_BYTES // (8 * n * n))
 
 
 def graph_block_rows(n: int, edges: int) -> int:
-    """Rows per block of work that embeds one n-node graph per row: up to
-    DENSE_SOLVER_MAX nodes DENSE_BLOCK_BATCHES engine batches, as the
-    engine cuts its stacks to `batch_rows(n)` graphs itself."""
-    return batch_rows(n, edges) * (DENSE_BLOCK_BATCHES if n <= DENSE_SOLVER_MAX else 1)
+    """Rows per block of work with per-row arrays of n nodes and `edges`
+    edges, such as embedding one graph per row.
+
+    Up to DENSE_SOLVER_MAX nodes, DENSE_BLOCK_BATCHES engine batches, as
+    the engine cuts its stacks to `batch_rows(n)` graphs itself.  Beyond
+    it each graph is solved alone, so a block's arrays are per row: as
+    many rows as keep ROW_ARRAYS (B, n + edges) float64 arrays near
+    BATCH_BYTES.
+    """
+    if n <= DENSE_SOLVER_MAX:
+        return batch_rows(n) * DENSE_BLOCK_BATCHES
+    return max(1, BATCH_BYTES // (8 * ROW_ARRAYS * (n + edges)))
 
 
 def batched_coordinates(weights, ei, ej, n: int, r: int) -> np.ndarray:
@@ -697,7 +696,6 @@ def embed(graph: FarmGraph, partition: ComponentPartition, r: int) -> list[Embed
                     graph.node_ids[node]: coords[row].copy()
                     for row, node in enumerate(members)
                 },
-                r_requested=r,
                 r_eff=coords.shape[1],
                 component_index=comp,
             )

@@ -277,7 +277,7 @@ class TestWeightedGraph:
             [[1.0, 0.0, 0.0], [np.nan, 0.4, 0.4]], layout.ids
         )
         res, tracker = impute_weighted_graph(p, graph, kind="triangular", r=1)
-        assert tracker.edge_ids[0] == ("s00", "s01") and tracker.guesses[0] == 0.0
+        assert tracker.edge_ids[0] == ("s00", "s01") and tracker.s_hat[0] == 0.0
         assert res.filled[1, 0] == pytest.approx(0.4, abs=1e-12)
         assert res.provenance[1, 0] == int(Provenance.STATIC_GRAPH_FALLBACK)
 
@@ -370,7 +370,7 @@ class TestWeightedGraph:
 
 
 def row_by_row_weighted(panel, graph, kind, r, tracker):
-    """Streaming reference: one `impute_row` and one tracker update per row."""
+    """Streaming reference: one `impute_row` and one tracker round per row."""
     worker = _WeightedRowImputer(graph, kind, r, 1e-12, tracker)
     revealed = revealed_similarity_rows(panel, graph)
     filled = panel.values.copy()
@@ -382,7 +382,7 @@ def row_by_row_weighted(panel, graph, kind, r, tracker):
             estimates, codes = worker.impute_row(panel.values[t], panel.mask[t], weights)
             filled[t, miss] = estimates[miss]
             provenance[t, miss] = codes[miss]
-        tracker.update(revealed[t])
+        tracker.replay(revealed[t : t + 1])
     return filled, provenance
 
 

@@ -307,14 +307,14 @@ def test_eval_routes_weighted_rows_as_impute_does(monkeypatch, shape, dense_max)
 
 
 def test_eval_cell_chunks_score_as_impute_does(monkeypatch):
-    """Above DENSE_SOLVER_MAX weighted blocks hold `batch_rows` rows, here
-    2, and the up to 12 scored cells of a block are estimated 2 at a time;
-    the scores still match one impute per hidden cell."""
+    """Above DENSE_SOLVER_MAX weighted blocks hold `graph_block_rows` rows,
+    here 2, and the up to 12 scored cells of a block are estimated 2 at a
+    time; the scores still match one impute per hidden cell."""
     monkeypatch.setattr(spectral, "DENSE_SOLVER_MAX", 4)
     layout, graph = _grid_setup(2, 3)
     edges = len(graph.edges)
     monkeypatch.setattr(spectral, "BATCH_BYTES", 2 * 8 * spectral.ROW_ARRAYS * (6 + edges))
-    assert spectral.batch_rows(6, edges) == 2
+    assert spectral.graph_block_rows(6, edges) == 2
     _check_eval_matches_impute(_holed_panel(layout, 12, 0.1, seed=51), graph)
 
 
@@ -411,7 +411,7 @@ def test_large_farm_memory_bounded_by_blocks():
 
 def test_large_farm_eval_memory_bounded_by_cell_chunks():
     """Above DENSE_SOLVER_MAX a block is at least one row, and each of its
-    scored cells brings its own edge weights; estimated `batch_rows` cells
+    scored cells brings its own edge weights; estimated `block_rows` cells
     at a time, one complete row of a 20x20 farm (400 cells) stays within
     the 12 BATCH_BYTES that the 16x16 test allows."""
     layout, graph = _grid_setup(20, 20)
@@ -426,6 +426,28 @@ def test_large_farm_eval_memory_bounded_by_cell_chunks():
         tracemalloc.stop()
     assert rep.scored_counts.sum() == 400
     assert peak <= full.values.nbytes + 12 * spectral.BATCH_BYTES
+
+
+@pytest.mark.parametrize("method", ["location", "unweighted_graph"])
+def test_large_farm_fixed_distance_eval_memory_bounded_by_blocks(method):
+    """Above DENSE_SOLVER_MAX the fixed-distance methods keep blocks of
+    `batch_rows(n)` rows, as a block's slow cells build (C, n) arrays with
+    C up to its cell count: incomplete-setup leave-one-out on a 15x14 farm
+    at 30% MCAR stays within 5 BATCH_BYTES (measured: 2.9; 33.1-34.2 with
+    blocks sized by per-row arrays)."""
+    layout, graph = _grid_setup(15, 14)
+    cfg = EstimatorConfig(method=method)
+    panel = _holed_panel(layout, 200, 0.3, seed=60)
+    warm = _holed_panel(layout, 5, 0.3, seed=62)
+    leave_one_out_eval(warm, cfg, "incomplete", layout, graph)  # warm-up
+    tracemalloc.start()
+    try:
+        rep = leave_one_out_eval(panel, cfg, "incomplete", layout, graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.scored_counts.sum() > 0.6 * panel.values.size
+    assert peak <= 5 * spectral.BATCH_BYTES
 
 
 def test_weighted_eval_builds_similarities_once_per_block(monkeypatch):
@@ -678,6 +700,30 @@ def test_eval_within_restricts_scored_rows():
             assert half[rows].all()
 
 
+def test_eval_within_every_row_matches_no_restriction():
+    """`within=split_rows(T, "all")`, what `--split all` passes, scores
+    exactly what `within=None` does, bit for bit."""
+    layout, graph = _grid_setup(2, 3)
+    panel = _holed_panel(layout, 60, 0.1, seed=92)
+    every = split_rows(panel.t_len, "all")
+    for method in ("weighted_graph", "location"):
+        cfg = EstimatorConfig(method=method)
+        for setup in ("complete", "incomplete"):
+            got, want = (
+                leave_one_out_eval(panel, cfg, setup, layout, graph, within)
+                for within in (every, None)
+            )
+            for name in ("rmse", "naive_rmse", "scored_counts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True)
+            assert got.fallback_counts == want.fallback_counts
+    configs = [EstimatorConfig("location"), EstimatorConfig("weighted_graph")]
+    got, want = (
+        [rep.summary() for rep in sweep(panel, configs, layout=layout, graph=graph, within=within)]
+        for within in (every, None)
+    )
+    assert got == want
+
+
 def test_eval_within_still_tracks_every_row(monkeypatch):
     """Rows outside `within` are not scored, but the tracker learns from
     them: scores match one streaming impute per hidden cell.  Blocks of
@@ -741,5 +787,3 @@ def test_complexity_smoke_small_sizes_run():
     assert len(rep.naive_per_row) == 2
     assert all(t > 0 for t in rep.naive_per_row)
     assert all(t > 0 for t in rep.weighted_per_row)
-    s = rep.summary()
-    assert "naive_slope" in s and "weighted_slope" in s

@@ -1101,7 +1101,9 @@ def test_cli_large_farm_impute_does_not_depend_on_block_rows(tmp_path, monkeypat
     outputs = []
     for label in ("sized", "two-row"):
         if label == "two-row":
-            monkeypatch.setattr(spectral, "batch_rows", lambda n, edges=0: 2)
+            two_rows = 2 * 8 * spectral.ROW_ARRAYS * (256 + edge_count)
+            monkeypatch.setattr(spectral, "BATCH_BYTES", two_rows)
+            assert spectral.graph_block_rows(256, edge_count) == 2
         out = tmp_path / label
         rc = main(
             ["impute", "--method", "weighted_graph", "--layout", layout_csv,
@@ -1125,7 +1127,7 @@ def test_cli_dense_farm_weighted_impute_does_not_depend_on_block_rows(tmp_path, 
     outputs = []
     for label, rows, batches in (("sized", None, None), ("four", 7, None), ("two-row", 2, 1)):
         if rows is not None:
-            monkeypatch.setattr(spectral, "batch_rows", lambda n, edges=0, rows=rows: rows)
+            monkeypatch.setattr(spectral, "batch_rows", lambda n, rows=rows: rows)
         if batches is not None:
             monkeypatch.setattr(spectral, "DENSE_BLOCK_BATCHES", batches)
         out = tmp_path / label

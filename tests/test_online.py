@@ -21,6 +21,11 @@ def one_edge_tracker(eta, s_hat=None):
     return tracker
 
 
+def step(tracker, revealed):
+    """One online round: `replay` of a one-row block; returns its losses."""
+    return tracker.replay(np.asarray(revealed, dtype=float)[None])[1][0]
+
+
 class TestTrackerUpdates:
     def test_initial_state_is_one(self):
         tracker = one_edge_tracker(0.5)
@@ -31,7 +36,7 @@ class TestTrackerUpdates:
         # From guess 0.6, revealed 0.9 at rate 0.1: y moves by
         # 2*0.1*0.3 = 0.06.
         tracker = one_edge_tracker(0.1, s_hat=0.6)
-        losses = tracker.update([0.9])
+        losses = step(tracker, [0.9])
         assert tracker.y[0] == pytest.approx(0.66, abs=1e-15)
         assert tracker.s_hat[0] == pytest.approx(0.66, abs=1e-15)
         assert losses[0] == pytest.approx(0.09, abs=1e-15)
@@ -39,11 +44,11 @@ class TestTrackerUpdates:
     def test_projection_keeps_guess_in_range_but_not_state(self):
         # Oversized rate: y = 0.1 + 2*5*0.9 = 9.1, guess clamps to 1.
         tracker = one_edge_tracker(5.0, s_hat=0.1)
-        tracker.update([1.0])
+        step(tracker, [1.0])
         assert tracker.y[0] == pytest.approx(9.1, abs=1e-12)
         assert tracker.s_hat[0] == 1.0
         # A missing round leaves the diverged state carried as is.
-        tracker.update([np.nan])
+        step(tracker, [np.nan])
         assert tracker.y[0] == pytest.approx(9.1, abs=1e-12)
 
     def test_missing_round_changes_nothing(self):
@@ -51,7 +56,7 @@ class TestTrackerUpdates:
         tracker.cumulative_loss[:] = 0.7
         tracker.revealed_count[:] = 3
         tracker.running_sum_revealed[:] = 1.2
-        losses = tracker.update([None])
+        losses = step(tracker, [None])
         assert losses[0] == 0.0
         assert tracker.s_hat[0] == 0.4
         assert tracker.y[0] == 0.4
@@ -66,10 +71,10 @@ class TestTrackerUpdates:
             last = None
             for _ in range(60):
                 if rng.random() < 0.3:
-                    tracker.update([np.nan])
+                    step(tracker, [np.nan])
                 else:
                     s = float(rng.random())
-                    tracker.update([s])
+                    step(tracker, [s])
                     last = s
                 if last is not None:
                     assert tracker.s_hat[0] == last  # bitwise equal
@@ -80,24 +85,24 @@ class TestTrackerUpdates:
         tracker = one_edge_tracker(0.37)
         for _ in range(200):
             before = tracker.y[0]
-            tracker.update([float(rng.random())])
+            step(tracker, [float(rng.random())])
             assert abs(tracker.y[0] - before) <= 2 * 0.37 + 1e-15
 
     def test_rejects_out_of_range_and_bad_shape(self):
         tracker = one_edge_tracker(0.5)
         with pytest.raises(InputError):
-            tracker.update([1.2])
+            step(tracker, [1.2])
         with pytest.raises(InputError):
-            tracker.update([-0.1])
+            step(tracker, [-0.1])
         with pytest.raises(InputError):
-            tracker.update([0.5, 0.5])
+            step(tracker, [0.5, 0.5])
         with pytest.raises(InputError):
             SimilarityTracker([("a", "b")], eta=0.0)
 
     def test_largest_learning_rate_keeps_the_state_finite(self):
         tracker = SimilarityTracker([("a", "b"), ("b", "c")], eta=ETA_MAX)
         for revealed in ([0.0, 1.0], [1.0, 0.0], [0.0, np.nan], [1.0, 1.0]):
-            tracker.update(revealed)
+            step(tracker, revealed)
             assert np.isfinite(tracker.y).all()
         for eta in (np.nextafter(ETA_MAX, np.inf), np.inf, np.nan, [0.5, np.inf]):
             with pytest.raises(InputError, match="finite"):
@@ -115,7 +120,7 @@ class TestTrackerUpdates:
 
     def test_replay_matches_round_loop_bit_for_bit(self):
         # One whole block, random splits of it into blocks (as checkpoints
-        # slice a run), and one `update` per round all match the loop.
+        # slice a run), and one row per call all match the loop.
         rng = np.random.default_rng(8)
         sims = rng.random((60, 5))
         sims[rng.random((60, 5)) < 0.4] = np.nan
@@ -134,10 +139,6 @@ class TestTrackerUpdates:
             assert np.array_equal(got_losses, losses)
             for name in TRACKER_STATE:
                 assert np.array_equal(getattr(tracker, name), state[name])
-        stepped = SimilarityTracker([("a", str(k)) for k in range(5)], eta=eta)
-        assert np.array_equal([stepped.update(row) for row in sims], losses)
-        for name in TRACKER_STATE:
-            assert np.array_equal(getattr(stepped, name), state[name])
 
     def test_replay_rejects_bad_blocks_without_moving(self):
         tracker = SimilarityTracker([("a", "b"), ("b", "c")], eta=0.5)
@@ -149,9 +150,9 @@ class TestTrackerUpdates:
 
     def test_edge_state_snapshot(self):
         tracker = SimilarityTracker([("a", "b"), ("b", "c")], eta=0.5)
-        tracker.update([0.2, np.nan])
+        step(tracker, [0.2, np.nan])
         assert tracker.edge_ids == (("a", "b"), ("b", "c"))
-        assert tracker.guesses == pytest.approx([0.2, 1.0])
+        assert tracker.s_hat == pytest.approx([0.2, 1.0])
         assert tracker.revealed_count.tolist() == [1, 0]
         assert tracker.running_sum_revealed == pytest.approx([0.2, 0.0])
 

@@ -138,7 +138,6 @@ class TestEmbed:
     def test_r_capped_by_component_size(self, path3_graph):
         embs = embed(path3_graph, components(path3_graph), r=10)
         assert embs[0].r_eff == 2
-        assert embs[0].r_requested == 10
 
     def test_path_distances_match_hand_solution(self, path3_graph):
         # r=1 coordinates are (1,0,-1)/sqrt(2); end-to-middle distance
